@@ -421,13 +421,15 @@ class PrivateSketcher:
     def sketch_batch(self, X, noise_rng=None, labels=()) -> SketchBatch:
         """Release private sketches of every row of ``X`` in one pass.
 
-        The projection runs as a single matrix operation
+        The projection runs as one batched call
         (:meth:`LinearTransform.apply_batch`) and each row receives its
         own independent noise draw, taken from ``noise_rng`` in row
         order — so a batch release matches sketching the rows one at a
-        time with the same generator to machine precision (identical
-        noise, identical projection up to BLAS summation order).
-        ``labels`` may be empty or one label per row.
+        time with the same generator: identical noise, and a projection
+        that is exact for the sparse transforms (SJLT, DKS, FJLT, whose
+        ``CooProjector`` fixes each entry's summation order) and equal
+        up to BLAS summation order for the dense ones.  ``labels`` may
+        be empty or one label per row.
         """
         generator = prg.as_generator(noise_rng)
         if self.perturbation == "input":

@@ -154,7 +154,7 @@ class SJLT(LinearTransform):
         return self._batch_projector()(X)
 
     def _batch_projector(self) -> CooProjector:
-        """The whole transform as one sparse matmul (single hash pass).
+        """The whole transform as one sparse projector (single hash pass).
 
         Cached when the hash tables are precomputed; rebuilt per call in
         lazy mode, whose memory contract is transient ``O(s d)`` — the

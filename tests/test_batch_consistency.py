@@ -4,20 +4,30 @@ The batch engine (``apply_batch`` / ``sketch_batch`` / the matrix
 estimators) is a pure performance layer: for every registered transform
 and both perturbation modes, feeding the same data and the same noise
 generator through the batch path and the row-by-row scalar path must
-give the same numbers to near machine precision.
+give the same numbers to near machine precision — and exactly the same
+numbers for the sparse transforms behind ``CooProjector``, whatever the
+batch size or the way a batch is split.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import estimators
 from repro.core.sketch import PrivateSketcher, SketchConfig
 from repro.hashing import prg
-from repro.transforms import TRANSFORMS
+from repro.transforms import TRANSFORMS, base, create_transform
 from tests.helpers import TRANSFORM_SPECS, make_transform, spec_id
 
 _DIM = 64
 _OUT = 32
+
+#: Transforms whose batch path is the tiled ``CooProjector``: their
+#: batch and scalar projections agree bit for bit.
+_COO_BACKED = {"sjlt", "dks", "fjlt"}
 
 #: One sketcher-level case per registered transform (plus the SJLT's
 #: second construction); kwargs are SketchConfig fields.
@@ -49,7 +59,10 @@ class TestApplyBatch:
         out = t.apply_batch(X)
         assert out.shape == (6, t.output_dim)
         for i in range(6):
-            np.testing.assert_allclose(out[i], t.apply(X[i]), rtol=0, atol=1e-10)
+            if spec[0] in _COO_BACKED:
+                np.testing.assert_array_equal(out[i], t.apply(X[i]))
+            else:
+                np.testing.assert_allclose(out[i], t.apply(X[i]), rtol=0, atol=1e-10)
 
     def test_matches_dense_matmul(self, spec):
         t = make_transform(spec)
@@ -65,6 +78,112 @@ class TestApplyBatch:
         t = make_transform(spec)
         with pytest.raises(ValueError, match="row dimension"):
             t.apply_batch(np.ones((3, t.input_dim + 1)))
+
+
+#: (transform, kwargs) behind ``CooProjector``, SJLT in both constructions.
+_SPLIT_CASES = [
+    ("sjlt", {"sparsity": 4}),
+    ("sjlt", {"sparsity": 4, "construction": "graph"}),
+    ("dks", {"sparsity": 4}),
+    ("fjlt", {}),
+]
+#: A small width, the benchmark's width, and one so wide that the byte
+#: budget alone would give 1-row tiles, so the row floor sets the tile.
+_SPLIT_WIDTHS = [160, 1024, 40_000]
+
+
+@functools.lru_cache(maxsize=None)
+def _split_transform(case_index: int, width: int):
+    name, kwargs = _SPLIT_CASES[case_index]
+    return create_transform(name, width, 16, seed=case_index, **kwargs)
+
+
+def _tile_rows(t) -> int:
+    """Rows per tile of ``t``'s projector (FJLT projects the padded width)."""
+    width = getattr(t, "padded_dim", t.input_dim)
+    return max(base._MIN_TILE_ROWS, base._TILE_BYTES // (8 * width))
+
+
+_CASE_IDS = [spec_id(case) for case in _SPLIT_CASES]
+
+
+@pytest.mark.parametrize("width", _SPLIT_WIDTHS, ids=lambda w: f"d={w}")
+@pytest.mark.parametrize("case_index", range(len(_SPLIT_CASES)), ids=_CASE_IDS)
+class TestBatchSplitInvariance:
+    """A row's release does not depend on the batch it is projected in."""
+
+    def test_tile_rows_follow_the_byte_budget(self, case_index, width):
+        t = _split_transform(case_index, width)
+        t.apply_batch(np.zeros((1, t.input_dim)))
+        assert t._projector.tile_rows == _tile_rows(t)
+        if width == max(_SPLIT_WIDTHS):
+            assert _tile_rows(t) == base._MIN_TILE_ROWS
+        else:
+            assert _tile_rows(t) > base._MIN_TILE_ROWS
+
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_splits_and_rows_match_whole_batch(self, case_index, width, data):
+        t = _split_transform(case_index, width)
+        tiles = _tile_rows(t)
+        n = data.draw(
+            st.sampled_from(sorted({0, 1, tiles - 1, tiles, tiles + 1, 3 * tiles + 2})),
+            label="n",
+        )
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4), label="cuts"))
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        X = np.random.default_rng(seed).standard_normal((n, t.input_dim))
+
+        whole = t.apply_batch(X)
+        assert whole.shape == (n, t.output_dim)
+        assert whole.flags.c_contiguous
+        bounds = [0, *cuts, n]
+        parts = [t.apply_batch(X[a:b]) for a, b in zip(bounds, bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        for i in range(n):
+            np.testing.assert_array_equal(t.apply(X[i]), whole[i])
+
+
+class TestCooProjectorFallbackParity:
+    """The scipy-less ``bincount`` scatter agrees with the tiled scipy path."""
+
+    @pytest.mark.parametrize("case_index", range(len(_SPLIT_CASES)), ids=_CASE_IDS)
+    def test_transform_fallback_matches_tiled_path(self, case_index, monkeypatch):
+        pytest.importorskip("scipy")
+        name, kwargs = _SPLIT_CASES[case_index]
+        tiled = create_transform(name, 1024, 16, seed=7, **kwargs)
+        tiles = _tile_rows(tiled)
+        X = np.random.default_rng(case_index).standard_normal((3 * tiles + 2, 1024))
+        tiled.apply_batch(X[:1])  # builds the projector while scipy is present
+        monkeypatch.setattr(base, "_scipy_sparse", None)
+        fallback = create_transform(name, 1024, 16, seed=7, **kwargs)
+        fallback.apply_batch(X[:1])
+        assert tiled._projector._matrix is not None
+        assert fallback._projector._matrix is None
+        for n in (1, tiles - 1, tiles, tiles + 1, X.shape[0]):
+            np.testing.assert_allclose(
+                fallback.apply_batch(X[:n]), tiled.apply_batch(X[:n]), rtol=0, atol=1e-12
+            )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicate_entries_are_summed_on_both_paths(self, seed, monkeypatch):
+        pytest.importorskip("scipy")
+        # DKS-style columns: s rows drawn with replacement from only
+        # k = 4, so most columns repeat a (row, col) pair
+        k, m, s = 4, 300, 6
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, k, size=(s, m))
+        cols = np.broadcast_to(np.arange(m), rows.shape)
+        values = rng.choice([-1.0, 1.0], size=(s, m)) * rng.uniform(0.5, 2.0, size=(s, m))
+        assert np.unique(rows * m + cols).size < rows.size
+        tiled = base.CooProjector(rows, cols, values, k, m)
+        monkeypatch.setattr(base, "_scipy_sparse", None)
+        fallback = base.CooProjector(rows, cols, values, k, m)
+        dense = np.zeros((k, m))
+        np.add.at(dense, (rows.ravel(), cols.ravel()), values.ravel())
+        X = np.random.default_rng(99).standard_normal((2 * tiled.tile_rows + 3, m))
+        np.testing.assert_allclose(fallback(X), tiled(X), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(tiled(X), X @ dense.T, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["output", "input"])
@@ -90,7 +209,10 @@ class TestSketchBatchMatchesScalar:
         generator = prg.derive_rng(11, "batch-vs-loop")
         for i in range(5):
             scalar = sk.sketch(X[i], noise_rng=generator)
-            np.testing.assert_allclose(batch.values[i], scalar.values, rtol=0, atol=1e-9)
+            if case[0] in _COO_BACKED:
+                np.testing.assert_array_equal(batch.values[i], scalar.values)
+            else:
+                np.testing.assert_allclose(batch.values[i], scalar.values, rtol=0, atol=1e-9)
 
     def test_rows_carry_scalar_metadata(self, case, mode):
         sk = self._sketcher(case, mode)
