@@ -58,7 +58,8 @@ def _build():
 
 
 def _dir_bytes(path) -> int:
-    return sum(p.stat().st_size for p in path.iterdir())
+    """Bytes of every regular file under ``path`` (shards sit in gen-NNNNN/)."""
+    return sum(p.stat().st_size for p in path.rglob("*") if p.is_file())
 
 
 def _time_top_k(service, queries):

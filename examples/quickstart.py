@@ -286,7 +286,9 @@ def main() -> None:
                 summary = maintainer.run_once()  # or .start() a background thread
             rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             deadline = time.monotonic() + 30.0
-            while not live_server.swaps:         # watcher picks the new gen up
+            # the watcher picks every published generation up (the
+            # re-save above was one too); wait for the compacted one
+            while live_server.service.store.generation < summary["generation"]:
                 if time.monotonic() > deadline:
                     raise RuntimeError(f"no swap: {live_server.watch_error!r}")
                 time.sleep(0.02)

@@ -4,7 +4,7 @@ The paper's Section 2 point is that *anyone* can estimate distances
 from published sketches; this package is the infrastructure for doing
 that at scale.  :class:`ShardedSketchStore` accumulates released rows
 into preallocated shards (amortised O(1) appends, cached per-shard
-norms and norm bounds, atomic binary persistence, lazy memory-mapped
+norms and norm bounds, generational binary persistence, lazy memory-mapped
 loading for stores larger than RAM, compaction and merge tooling),
 at a selectable storage precision (:class:`StorageSpec`: ``f8`` /
 ``f4`` / ``f2`` / scalar-quantised ``int8`` — 2-8x smaller shards and
@@ -22,7 +22,7 @@ Above it sits one protocol:
   through the vectorised estimators, serially or across a thread pool
   (:class:`ExecutionPolicy`);
 * :mod:`repro.serving.wire` — versioned JSON envelopes for queries,
-  results and errors (sketch payloads ride as the v2 binary container,
+  results and errors (sketch payloads ride as the v3 binary container,
   bit-exact; typed labels survive);
 * :class:`SketchQueryServer` / :class:`DistanceClient` — a stdlib-only
   HTTP frontend over a saved store (memory-mapped, so N worker
@@ -64,9 +64,11 @@ rows (appends publish rows and norm caches before sizes, so a snapshot
 never exposes a partially written row).  Queries never block appends
 and appends never block queries.  ``save``/``load``/``compact``/
 ``merge`` are writer-side operations: run them from the writer, not
-concurrently with another writer.  Saving over a directory counts as
-writing every store handle that was mmap-loaded from it — such readers
-must re-``load`` afterwards (see :meth:`ShardedSketchStore.save`).
+concurrently with another writer.  Every publish into a directory
+(``save``, ``compact_store``, ``merge_stores``) keeps the generation it
+replaces, so handles mmap-loaded from it keep answering; re-``load``
+them before the next publish prunes it (see
+:meth:`ShardedSketchStore.save`).
 
 **Prefilter guarantee.**  The norm-bound prefilter (on by default, see
 :class:`ExecutionPolicy`) skips a shard only when the reverse triangle
@@ -89,13 +91,11 @@ instead visits only the ``N`` nearest-centroid shards, an explicit
 recall/speed trade reported in ``QueryStats.shards_routed``.  Both are
 post-processing of released sketches: no extra privacy budget.
 
-**Deprecation policy.**  The pre-query-plane ``DistanceService``
-methods (``top_k``, ``top_k_batch``, ``radius``, ``cross``,
-``pairwise_submatrix``) are shims over ``execute()``: bit-identical
-results plus a ``DeprecationWarning``.  They remain for at least two
-further releases; new code should build typed queries.  The wire format
-and the binary container are versioned independently and reject
-unknown versions up front.
+**One entry point, one format.**  ``DistanceService.execute()`` is the
+only query API (the pre-query-plane shim methods are gone); build typed
+queries.  The wire format and the binary container are versioned
+independently and reject unknown versions up front: stores and wire
+payloads use container format 3 only.
 
 The analyst-side index :class:`~repro.core.knn.PrivateNeighborIndex`
 delegates to this layer, and a :class:`~repro.core.protocol.SketchingSession`
@@ -134,8 +134,6 @@ from repro.serving.serialization import (
     map_values,
     read_batch,
     read_batch_info,
-    write_batch,
-    write_batch_streaming,
 )
 from repro.serving.router import RouterService
 from repro.serving.service import DistanceService, stable_smallest_k
@@ -214,6 +212,4 @@ __all__ = [
     "read_batch_info",
     "read_manifest",
     "stable_smallest_k",
-    "write_batch",
-    "write_batch_streaming",
 ]

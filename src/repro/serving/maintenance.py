@@ -1,22 +1,21 @@
 """LSM-style background maintenance for on-disk sketch stores.
 
 Two disk-to-disk rewrites — :func:`compact_store` and
-:func:`merge_stores` — stream shard rows through the bounded block
-iterators of :mod:`repro.serving.serialization`, so peak memory is
-O(one block) no matter how large the store is: nothing is ever loaded,
-or even memory-mapped, in full.  Both drop tombstoned rows physically
-(budgets stay spent — the DP semantics of deletion are documented once,
-in :mod:`repro.serving.store`).
+:func:`merge_stores` — run the store's one rewrite pass
+(:func:`repro.serving.store.rewrite_store`) over ``load(mmap=True)``
+handles of their sources, whose shards stream in bounded, buffered,
+digest-verified blocks, so peak memory is O(one block) no matter how
+large the store is: nothing is ever loaded, or even memory-mapped, in
+full.  Both drop tombstoned rows physically (budgets stay spent — the
+DP semantics of deletion are documented once, in
+:mod:`repro.serving.store`).
 
-:func:`compact_store` is *generational*: generation ``N+1`` is written
-into a sibling ``gen-NNNNN`` directory inside the store root, published
-by atomically replacing ``manifest.json`` once every shard is fully
-written and digest-verified, and older generations are pruned — except
-the immediately previous one, which in-flight readers may still be
-lazily attaching.  A crash at any point leaves the old generation
-loadable: staging directories and published-but-unreferenced generation
-directories are orphans the next ``compact_store`` removes (the
-manifest is the single source of truth for which generation is live).
+Both publish like ``save`` (:func:`repro.serving.serialization.publish`):
+the next ``gen-NNNNN`` generation is written in full, then
+``manifest.json`` — the single source of truth — is replaced
+atomically, and generations older than the replaced one are pruned.  A
+crash at any point leaves the old generation loadable; its leftovers
+are orphans the next publish removes.
 
 :class:`MaintenancePolicy` turns the quickstart's manual
 build-then-shrink workflow into an automatic rule — a hot full-precision
@@ -35,395 +34,19 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.serving.routing import (
-    DEFAULT_TRAIN_SAMPLE,
-    ShardRouting,
-    assign_rows,
-    default_cluster_count,
-    inflate_radius,
-    kmeans_centroids,
-)
 from repro.serving.serialization import (
     DEFAULT_BLOCK_ROWS,
-    ROUTING_BLOB_NAME,
-    BatchInfo,
-    StreamingBatchWriter,
-    iter_batch_rows,
-    read_batch_info,
-    write_routing_blob,
+    SHARD_PATTERN,
+    publish,
+    read_manifest,
+    shard_dir,
 )
 from repro.serving.storage import StorageSpec
-from repro.serving.store import (
-    _MANIFEST_NAME,
-    _MANIFEST_VERSION,
-    _SHARD_PATTERN,
-    _drop_dead,
-    _is_positional,
-    _swap_into_place,
-    read_manifest,
-)
-from repro.core import estimators
-
-_GENERATION_PATTERN = "gen-{:05d}"
-
-
-def _generation_dirs(root: Path) -> list[Path]:
-    return sorted(p for p in root.glob("gen-*") if p.is_dir())
-
-
-def _clean_orphans(root: Path, live_dir: str) -> list[str]:
-    """Remove crash leftovers: staging dirs and unreferenced generations.
-
-    The manifest is the source of truth — any ``gen-*`` directory it
-    does not reference was published (or half-written) by a run that
-    died before (or while) replacing the manifest, and is unreachable.
-    Returns the removed names, for observability and the crash tests.
-    """
-    removed = []
-    for orphan in root.glob(".gen-*.staging-*"):
-        shutil.rmtree(orphan, ignore_errors=True)
-        removed.append(orphan.name)
-    for gen_dir in _generation_dirs(root):
-        if gen_dir.name != live_dir:
-            shutil.rmtree(gen_dir, ignore_errors=True)
-            removed.append(gen_dir.name)
-    return removed
-
-
-def _source_shards(root: Path, manifest: dict) -> list[BatchInfo]:
-    shard_dir = root / manifest.get("shards_dir", "")
-    return [
-        read_batch_info(shard_dir / _SHARD_PATTERN.format(i))
-        for i in range(manifest["n_shards"])
-    ]
-
-
-def _survivor_labels(
-    infos: list[BatchInfo], tombstones: np.ndarray
-) -> list | None:
-    """Labels of the untombstoned rows, or ``None`` when all positional.
-
-    ``None`` lets the writer elide labels entirely (they regenerate
-    from row offsets on load), which keeps big-store headers small —
-    exactly the rule :meth:`ShardedSketchStore.save` applies.  Any
-    explicit label, or any tombstone (survivors of a deletion keep
-    their old identities, which no longer match their new positions),
-    forces the labels to be materialised and stored.
-    """
-    labels: list = []
-    explicit = tombstones.size > 0
-    start = 0
-    for info in infos:
-        shard_labels = info.labels or range(start, start + info.n_rows)
-        if info.labels and not _is_positional(tuple(info.labels), start):
-            explicit = True
-        labels.extend(shard_labels)
-        start += info.n_rows
-    if not explicit:
-        return None
-    if tombstones.size:
-        keep = np.delete(np.arange(len(labels), dtype=np.intp), tombstones)
-        labels = [labels[i] for i in keep]
-    return labels
-
-
-def _global_scale(
-    infos: list[BatchInfo], tombstones: np.ndarray, block_rows: int
-) -> float:
-    """One int8 step covering every live row (an extra streaming pass).
-
-    The in-memory path derives one scale per shard as rows arrive; a
-    disk-to-disk rewrite cannot know a future block's peak, so it spends
-    one cheap read pass finding the store-wide peak instead and encodes
-    every output shard with that single step.  The step is recorded per
-    shard as usual, so readers are oblivious to the difference.
-    """
-    peak = 0.0
-    offset = 0
-    for info in infos:
-        spec = info.storage_spec
-        for block in _iter_live(info, tombstones, offset, block_rows):
-            decoded = np.asarray(spec.decode(block, info.scale), dtype=np.float64)
-            if decoded.size:
-                block_peak = float(np.max(np.abs(decoded)))
-                if not np.isfinite(block_peak):
-                    raise ValueError("int8 storage requires finite sketch values")
-                peak = max(peak, block_peak)
-        offset += info.n_rows
-    return StorageSpec.int8_step(peak)
-
-
-def _iter_live(
-    info: BatchInfo, tombstones: np.ndarray, offset: int, block_rows: int
-):
-    """One shard's raw code blocks with tombstoned rows dropped.
-
-    ``tombstones`` holds *global* row indices; ``offset`` is the shard's
-    global start.  Uses the serialization layer's buffered block reader,
-    so the stored digest is verified as the shard drains.
-    """
-    lo, hi = np.searchsorted(tombstones, (offset, offset + info.n_rows))
-    dead = tombstones[lo:hi] - offset
-    local = 0
-    for block in iter_batch_rows(info, block_rows):
-        n = block.shape[0]
-        if dead.size:
-            block = _drop_dead(block, local, dead)
-        local += n
-        yield block
-
-
-class _ShardRoller:
-    """Streams re-encoded blocks into capacity-sized output shards.
-
-    Owns the open :class:`StreamingBatchWriter`, splits incoming blocks
-    at shard boundaries, slices each output shard's labels out of the
-    survivor list (``None`` elides them), and aborts every partial file
-    on error — the staging directory is all-or-nothing.
-    """
-
-    def __init__(self, staging, template, spec, scale, capacity, labels):
-        self._staging = Path(staging)
-        self._template = template
-        self._spec = spec
-        self._scale = scale
-        self._capacity = capacity
-        self._labels = labels
-        self._writer: StreamingBatchWriter | None = None
-        self._shard_rows = 0
-        self.n_shards = 0
-        self.n_rows = 0
-
-    def _open(self) -> StreamingBatchWriter:
-        if self._writer is None:
-            self._writer = StreamingBatchWriter(
-                self._staging / _SHARD_PATTERN.format(self.n_shards),
-                self._template,
-                storage=self._spec,
-                scale=self._scale,
-            )
-            self._shard_rows = 0
-        return self._writer
-
-    def _roll(self) -> None:
-        self._writer.commit()
-        self._writer = None
-        self.n_shards += 1
-
-    def append(self, codes: np.ndarray) -> None:
-        while codes.shape[0]:
-            writer = self._open()
-            take = min(self._capacity - self._shard_rows, codes.shape[0])
-            labels = (
-                ()
-                if self._labels is None
-                else self._labels[self.n_rows : self.n_rows + take]
-            )
-            writer.append(codes[:take], labels)
-            codes = codes[take:]
-            self._shard_rows += take
-            self.n_rows += take
-            if self._shard_rows == self._capacity:
-                self._roll()
-
-    def seal(self) -> None:
-        """Commit the current partial shard so the next append opens a new one.
-
-        The cluster-boundary primitive of a clustered rewrite — the
-        disk-side analogue of ``ShardedSketchStore._seal_tail`` — so
-        every output shard holds rows of exactly one cluster.
-        """
-        if self._writer is not None:
-            self._roll()
-
-    def finish(self) -> None:
-        """Commit the tail shard (a zero-row one if nothing was written:
-        every store needs at least one shard to carry its metadata).
-
-        When the last append landed exactly on a capacity boundary the
-        tail was already rolled — opening another writer here would add
-        a spurious zero-row shard, which the partial-shard policy would
-        then flag forever.
-        """
-        if self._writer is not None or self.n_shards == 0:
-            self._open()
-            self._roll()
-
-    def abort(self) -> None:
-        if self._writer is not None:
-            self._writer.abort()
-            self._writer = None
-
-
-def _stream_shards(
-    infos: list[BatchInfo],
-    tombstones: np.ndarray,
-    roller: _ShardRoller,
-    out_spec: StorageSpec,
-    scale: float | None,
-    block_rows: int,
-) -> None:
-    """Pump every live row of ``infos`` through the roller, re-encoding.
-
-    Same-spec float storage passes codes through verbatim (no decode
-    round trip — surviving rows stay bit-identical on disk); anything
-    else decodes to float64 and re-encodes, exactly like the in-memory
-    path.  ``int8`` always re-encodes: output shards straddle source
-    shards whose scales differ.
-    """
-    offset = 0
-    for info in infos:
-        in_spec = info.storage_spec
-        passthrough = in_spec.name == out_spec.name and not out_spec.quantised
-        for block in _iter_live(info, tombstones, offset, block_rows):
-            if not block.shape[0]:
-                continue
-            if passthrough:
-                roller.append(block)
-            else:
-                decoded = np.asarray(
-                    in_spec.decode(block, info.scale), dtype=np.float64
-                )
-                roller.append(out_spec.encode(decoded, scale))
-        offset += info.n_rows
-
-
-def _iter_live_decoded(
-    infos: list[BatchInfo], tombstones: np.ndarray, block_rows: int
-):
-    """Every live row of the store as decoded float64 blocks, in order."""
-    offset = 0
-    for info in infos:
-        spec = info.storage_spec
-        for block in _iter_live(info, tombstones, offset, block_rows):
-            if block.shape[0]:
-                yield np.asarray(spec.decode(block, info.scale), dtype=np.float64)
-        offset += info.n_rows
-
-
-def _sample_live_rows(
-    infos: list[BatchInfo],
-    tombstones: np.ndarray,
-    block_rows: int,
-    target: int = DEFAULT_TRAIN_SAMPLE,
-) -> np.ndarray:
-    """Deterministic stride sample of live rows — k-means training data.
-
-    The same every-``step``-th-live-row rule as the in-memory
-    ``_sample_live``, so an in-memory and a disk-to-disk clustered
-    compact of the same rows train on the same sample.
-    """
-    total = sum(info.n_rows for info in infos) - int(tombstones.size)
-    step = max(1, total // max(target, 1))
-    sample, seen = [], 0
-    for block in _iter_live_decoded(infos, tombstones, block_rows):
-        idx = np.arange(seen, seen + block.shape[0])
-        take = block[idx % step == 0]
-        if take.shape[0]:
-            sample.append(take)
-        seen += block.shape[0]
-    return np.concatenate(sample)
-
-
-def _stream_clustered(
-    infos: list[BatchInfo],
-    tombstones: np.ndarray,
-    roller: _ShardRoller,
-    out_spec: StorageSpec,
-    scale: float | None,
-    block_rows: int,
-    centroids: np.ndarray,
-    base_labels: list,
-    permuted: list,
-) -> None:
-    """Pump live rows through the roller cluster-by-cluster, re-encoding.
-
-    One streaming pass per cluster, recomputing the (deterministic)
-    assignment per block instead of materialising it — peak memory stays
-    O(block) however many rows the store holds.  ``permuted`` is the
-    label list the roller slices from; it is extended here, just ahead
-    of each append, with the labels of the rows being appended, so the
-    roller's positional slicing always finds them present.
-    """
-    for j in range(centroids.shape[0]):
-        pos = 0
-        for decoded in _iter_live_decoded(infos, tombstones, block_rows):
-            member = assign_rows(decoded, centroids) == j
-            if member.any():
-                permuted.extend(base_labels[i] for i in np.flatnonzero(member) + pos)
-                roller.append(out_spec.encode(decoded[member], scale))
-            pos += decoded.shape[0]
-        roller.seal()  # shard boundaries align with cluster boundaries
-
-
-def _staged_routing(
-    staging: Path,
-    n_shards: int,
-    block_rows: int,
-    *,
-    generation: int,
-    n_clusters: int,
-    seed: int,
-) -> ShardRouting:
-    """The routing table of a freshly staged clustered generation.
-
-    Two streaming passes per staged shard — mean, then max distance —
-    over the shard's *decoded* values (what queries will scan, so a
-    quantised rewrite's rounding is inside the ball by construction),
-    finished with the same :func:`~repro.serving.routing.inflate_radius`
-    margin the in-memory builder applies.
-    """
-    centroids, radii, sizes = [], [], []
-    for i in range(n_shards):
-        info = read_batch_info(staging / _SHARD_PATTERN.format(i))
-        spec = info.storage_spec
-        total, count = None, 0
-        for block in iter_batch_rows(info, block_rows):
-            decoded = np.asarray(spec.decode(block, info.scale), dtype=np.float64)
-            total = decoded.sum(axis=0) + (0.0 if total is None else total)
-            count += decoded.shape[0]
-        if count == 0:
-            raise ValueError("cannot build routing over an empty shard")
-        centroid = total / count
-        max_sq = 0.0
-        for block in iter_batch_rows(info, block_rows):
-            decoded = np.asarray(spec.decode(block, info.scale), dtype=np.float64)
-            diff = decoded - centroid[np.newaxis, :]
-            max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->i", diff, diff))))
-        centroids.append(centroid)
-        radii.append(
-            inflate_radius(float(np.sqrt(max_sq)), float(np.linalg.norm(centroid)))
-        )
-        sizes.append(count)
-    return ShardRouting(
-        centroids=np.asarray(centroids, dtype=np.float64),
-        radii=np.asarray(radii, dtype=np.float64),
-        shard_sizes=tuple(sizes),
-        generation=generation,
-        n_clusters=n_clusters,
-        seed=seed,
-    )
-
-
-def _resolve_clusters(routing, live_rows: int, capacity: int) -> int | None:
-    """Resolve a ``routing`` argument, mirroring the in-memory rule."""
-    if routing is None or routing is False:
-        return None
-    if live_rows == 0:
-        raise ValueError("cannot build routing over an empty store")
-    if routing is True:
-        return default_cluster_count(live_rows, capacity)
-    clusters = int(routing)
-    if clusters < 1:
-        raise ValueError(f"routing cluster count must be >= 1, got {clusters}")
-    return clusters
+from repro.serving.store import ShardedSketchStore, rewrite_store
 
 
 def compact_store(
@@ -437,14 +60,13 @@ def compact_store(
     """Rewrite an on-disk store as its next generation, disk-to-disk.
 
     Streams every live row of the store at ``path`` into capacity-sized
-    shards inside a new ``gen-NNNNN`` sibling directory — tombstoned
-    rows are physically dropped, ``storage=...`` re-encodes along the
-    way (the hot-f8-to-cold-f4/int8 demotion) — then atomically
-    publishes the new generation by replacing ``manifest.json``.  Peak
-    memory is O(``block_rows``): source shards are read in bounded
-    buffered blocks (never mapped), written shards stream through a
-    temp file, and each source block's digest chain is verified before
-    the generation can publish.
+    shards of a new ``gen-NNNNN`` generation — tombstoned rows are
+    physically dropped, ``storage=...`` re-encodes along the way (the
+    hot-f8-to-cold-f4/int8 demotion) — then atomically publishes it by
+    replacing ``manifest.json``.  Peak memory is O(``block_rows``):
+    source shards are read in bounded buffered blocks (never mapped),
+    written shards stream through a temp file, and each source block's
+    digest chain is verified before the generation can publish.
 
     Readers are never broken: a store loaded (even ``mmap=True``, even
     mid-query) before the publish keeps serving its old generation —
@@ -461,7 +83,7 @@ def compact_store(
     and the generation is published with a centroid routing table the
     query plane uses for sub-linear shard selection (see
     :mod:`repro.serving.routing`).  Still O(block) memory: one extra
-    streaming pass per cluster plus two per staged shard.  The default
+    streaming pass per cluster plus two per written shard.  The default
     ``None`` keeps the order-preserving rewrite — which also drops any
     existing routing entry, since the layout it described is gone.
 
@@ -470,124 +92,27 @@ def compact_store(
     ``pruned``).
     """
     root = Path(path)
+    source = ShardedSketchStore.load(root, mmap=True)
+    generation, pruned = publish(
+        root,
+        source.generation + 1,
+        lambda directory, number: rewrite_store(
+            directory, [source], storage=source.storage if storage is None else storage,
+            routing=routing, routing_seed=routing_seed, generation=number,
+            block_rows=block_rows,
+        ),
+    )
     manifest = read_manifest(root)
-    pruned = _clean_orphans(root, manifest.get("shards_dir", ""))
-    infos = _source_shards(root, manifest)
-    tombstones = np.asarray(
-        sorted(manifest.get("tombstones", ())), dtype=np.intp
-    )
-    out_spec = (
-        StorageSpec.parse(storage)
-        if storage is not None
-        else StorageSpec.parse(manifest.get("storage", "f8"))
-    )
-    capacity = manifest["shard_capacity"]
-    live_rows = int(manifest["n_rows"]) - int(tombstones.size)
-    clusters = _resolve_clusters(routing, live_rows, capacity)
-    generation = int(manifest.get("generation", 0)) + 1
-    gen_name = _GENERATION_PATTERN.format(generation)
-    staging = root / f".{gen_name}.staging-{os.getpid()}"
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    labels = _survivor_labels(infos, tombstones)
-    if clusters is not None:
-        # the clustered order is a permutation, so positions no longer
-        # encode identities: labels must be materialised and permuted
-        base_labels = labels if labels is not None else list(range(live_rows))
-        labels = []  # filled in cluster order by _stream_clustered
-    scale = (
-        _global_scale(infos, tombstones, block_rows)
-        if out_spec.quantised
-        else None
-    )
-    roller = _ShardRoller(
-        staging, infos[0].meta, out_spec, scale, capacity, labels
-    )
-    routing_entry = None
-    try:
-        if clusters is not None:
-            centroids = kmeans_centroids(
-                _sample_live_rows(infos, tombstones, block_rows),
-                clusters,
-                seed=routing_seed,
-            )
-            _stream_clustered(
-                infos, tombstones, roller, out_spec, scale, block_rows,
-                centroids, base_labels, labels,
-            )
-            roller.finish()
-            table = _staged_routing(
-                staging, roller.n_shards, block_rows,
-                generation=generation,
-                n_clusters=int(centroids.shape[0]),
-                seed=routing_seed,
-            )
-            digest = write_routing_blob(
-                staging / ROUTING_BLOB_NAME,
-                table.to_payload(),
-                table.centroids,
-                table.radii,
-            )
-            routing_entry = {
-                "file": ROUTING_BLOB_NAME,
-                "sha256": digest,
-                "n_clusters": int(centroids.shape[0]),
-                "generation": generation,
-            }
-        else:
-            _stream_shards(infos, tombstones, roller, out_spec, scale, block_rows)
-            roller.finish()
-    except BaseException:
-        roller.abort()
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
-    os.replace(staging, root / gen_name)
-    new_manifest = {
-        "manifest_version": _MANIFEST_VERSION,
-        "shard_capacity": capacity,
-        "n_shards": roller.n_shards,
-        "n_rows": roller.n_rows,
-        "storage": out_spec.name,
-        "config_digest": manifest["config_digest"],
-        "generation": generation,
-        "shards_dir": gen_name,
-    }
-    if routing_entry is not None:
-        new_manifest["routing"] = routing_entry
-    _publish_manifest(root, new_manifest)
-    # prune everything older than {new, previous}: readers attached to
-    # the just-replaced generation may still be lazily mapping its files
-    previous = manifest.get("shards_dir", "")
-    for gen_dir in _generation_dirs(root):
-        if gen_dir.name not in (gen_name, previous):
-            shutil.rmtree(gen_dir, ignore_errors=True)
-            pruned.append(gen_dir.name)
-    if previous:
-        # the previous generation was itself a gen dir, so any flat
-        # shard files at the root are at least two generations stale
-        for stale in root.glob("shard-*.skb"):
-            stale.unlink()
-            pruned.append(stale.name)
     return {
         "path": os.fspath(root),
         "generation": generation,
-        "rows": roller.n_rows,
-        "tombstones_dropped": int(tombstones.size),
-        "shards": roller.n_shards,
-        "storage": out_spec.name,
-        "routing": None if clusters is None else clusters,
+        "rows": manifest["n_rows"],
+        "tombstones_dropped": len(source.tombstones),
+        "shards": manifest["n_shards"],
+        "storage": manifest["storage"],
+        "routing": manifest["routing"]["n_clusters"] if "routing" in manifest else None,
         "pruned": pruned,
     }
-
-
-def _publish_manifest(root: Path, manifest: dict) -> None:
-    """Atomically replace the store's manifest (tmp file + rename)."""
-    import json
-
-    tmp = root / f".{_MANIFEST_NAME}.tmp-{os.getpid()}"
-    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    os.replace(tmp, root / _MANIFEST_NAME)
 
 
 def merge_stores(
@@ -603,98 +128,31 @@ def merge_stores(
     :meth:`ShardedSketchStore.merge`: rows keep their per-store order,
     stores concatenate in argument order, tombstoned rows are dropped on
     the way through, and nothing larger than one block is ever held in
-    memory.  The same storage rule applies — mixing specs is rejected
-    with the specs named unless ``storage=...`` re-encodes everything —
-    and all sources must share one public configuration.  ``dest`` is
-    written with the save path's staging-then-swap idiom, so a crash
+    memory.  The same merge rules apply — mixing specs is rejected with
+    the specs named unless ``storage=...`` re-encodes everything — and
+    all sources must share one public configuration.  ``dest`` is
+    published like any save: a fresh directory starts at generation 0,
+    an existing store is replaced by its next generation, and a crash
     never leaves a partial store there.
     """
     if not sources:
         raise ValueError("merge_stores needs at least one source store")
-    roots = [Path(source) for source in sources]
-    manifests = [read_manifest(root) for root in roots]
-    specs = sorted({m.get("storage", "f8") for m in manifests})
-    if storage is None:
-        if len(specs) > 1:
-            raise ValueError(
-                f"cannot merge stores with different storage specs "
-                f"({', '.join(specs)}): their error envelopes differ; pass "
-                f"storage=... to re-encode the merged store into one spec"
-            )
-        storage = specs[0]
-    out_spec = StorageSpec.parse(storage)
-    per_source = [_source_shards(root, m) for root, m in zip(roots, manifests)]
-    template = per_source[0][0].meta
-    for infos in per_source[1:]:
-        estimators.check_compatible(template, infos[0].meta)
-    capacity = (
-        max(m["shard_capacity"] for m in manifests)
-        if shard_capacity is None
-        else shard_capacity
+    stores = [ShardedSketchStore.load(source, mmap=True) for source in sources]
+    publish(
+        dest,
+        0,
+        lambda directory, number: rewrite_store(
+            directory, stores, storage=storage, shard_capacity=shard_capacity,
+            block_rows=block_rows,
+        ),
     )
-    # concatenate the per-store survivor labels, re-eliding only if
-    # every source was positional and tombstone-free
-    all_labels: list | None = []
-    for manifest, infos in zip(manifests, per_source):
-        tombstones = np.asarray(
-            sorted(manifest.get("tombstones", ())), dtype=np.intp
-        )
-        source_labels = _survivor_labels(infos, tombstones)
-        if source_labels is None:
-            live = manifest["n_rows"] - int(tombstones.size)
-            source_labels = list(range(live))
-        all_labels.extend(source_labels)
-    if _is_positional(tuple(all_labels), 0):
-        all_labels = None
-
-    dest_root = Path(dest)
-    dest_root.parent.mkdir(parents=True, exist_ok=True)
-    staging = dest_root.with_name(f".{dest_root.name}.saving-{os.getpid()}")
-    if staging.exists():
-        shutil.rmtree(staging)
-    staging.mkdir(parents=True)
-    scale = None
-    if out_spec.quantised:
-        peak_scale = 0.0
-        for manifest, infos in zip(manifests, per_source):
-            tombstones = np.asarray(
-                sorted(manifest.get("tombstones", ())), dtype=np.intp
-            )
-            peak_scale = max(
-                peak_scale, _global_scale(infos, tombstones, block_rows)
-            )
-        scale = peak_scale
-    roller = _ShardRoller(staging, template, out_spec, scale, capacity, all_labels)
-    try:
-        for manifest, infos in zip(manifests, per_source):
-            tombstones = np.asarray(
-                sorted(manifest.get("tombstones", ())), dtype=np.intp
-            )
-            _stream_shards(infos, tombstones, roller, out_spec, scale, block_rows)
-        roller.finish()
-        _publish_manifest(
-            staging,
-            {
-                "manifest_version": _MANIFEST_VERSION,
-                "shard_capacity": capacity,
-                "n_shards": roller.n_shards,
-                "n_rows": roller.n_rows,
-                "storage": out_spec.name,
-                "config_digest": manifests[0]["config_digest"],
-                "generation": 0,
-            },
-        )
-        _swap_into_place(staging, dest_root)
-    except BaseException:
-        roller.abort()
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+    manifest = read_manifest(dest)
     return {
-        "path": os.fspath(dest_root),
-        "rows": roller.n_rows,
-        "shards": roller.n_shards,
-        "storage": out_spec.name,
-        "sources": [os.fspath(root) for root in roots],
+        "path": os.fspath(Path(dest)),
+        "rows": manifest["n_rows"],
+        "shards": manifest["n_shards"],
+        "storage": manifest["storage"],
+        "sources": [os.fspath(Path(source)) for source in sources],
     }
 
 
@@ -781,9 +239,9 @@ class MaintenancePolicy:
 
 
 def _store_nbytes(root: Path, manifest: dict) -> int:
-    shard_dir = root / manifest.get("shards_dir", "")
+    directory = shard_dir(root, manifest)
     return sum(
-        (shard_dir / _SHARD_PATTERN.format(i)).stat().st_size
+        (directory / SHARD_PATTERN.format(i)).stat().st_size
         for i in range(manifest["n_shards"])
     )
 

@@ -145,8 +145,8 @@ class PairwiseQuery:
 
     Entry ``(i, j)`` of the payload estimates the distance between
     stored rows ``indices[i]`` and ``indices[j]``, zero diagonal by
-    convention.  Negative indices address from the end, as in the
-    legacy ``pairwise_submatrix``.
+    convention.  Negative indices address from the end, as in Python
+    sequences.
     """
 
     kind = "pairwise"

@@ -166,28 +166,6 @@ def assign_rows(rows: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(_sq_dists_to(np.asarray(rows, dtype=np.float64), centroids), axis=1)
 
 
-def inflate_radius(radius: float, centroid_norm: float) -> float:
-    """The conservative margin a covering radius carries on disk.
-
-    A relative slack larger than any rounding the distance computation
-    can accumulate, so the ball *provably* contains every row — the
-    exact-mode guarantee rests on this inflation plus the query-time
-    slack.  Shared by the in-memory and the streaming (disk-to-disk)
-    radius builders so both produce the same table.
-    """
-    return radius + _ROUTING_REL_SLACK * (radius + centroid_norm) + 1e-12
-
-
-def covering_radius(rows: np.ndarray, centroid: np.ndarray) -> float:
-    """Conservative max distance from any of ``rows`` to ``centroid``."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[0] == 0:
-        return 0.0
-    diff = rows - centroid[np.newaxis, :]
-    r = float(np.sqrt(np.max(np.einsum("ij,ij->i", diff, diff))))
-    return inflate_radius(r, float(np.linalg.norm(centroid)))
-
-
 @dataclasses.dataclass(frozen=True)
 class ShardRouting:
     """The per-shard ``(centroid, radius)`` table of one shard layout.
@@ -330,29 +308,40 @@ class ShardRouting:
 
 
 def build_shard_routing(
-    shard_values,
+    views,
     *,
     generation: int = 0,
     n_clusters: int = 0,
     seed: int = 0,
 ) -> ShardRouting:
-    """A :class:`ShardRouting` over per-shard decoded row arrays.
+    """A :class:`ShardRouting` over ``views``, one per physical shard.
 
-    ``shard_values`` is one float64-convertible array per *physical*
-    shard, in shard order — the exact values queries scan, so the balls
-    bound what the distance kernel sees.  Works for any layout (the
-    bounds are valid even without clustering; clustering just makes the
-    radii small enough to be worth checking).
+    The shards — a store snapshot or a disk rewrite's staged files —
+    are streamed twice in row blocks (mean, then covering radius) over
+    their *decoded* rows, the exact values queries scan.  Valid for any
+    layout; clustering just makes the radii small enough to matter.
     """
     centroids, radii, sizes = [], [], []
-    for values in shard_values:
-        values = np.asarray(values, dtype=np.float64)
-        if values.shape[0] == 0:
+    for view in views:
+        total, count = 0.0, 0
+        for block in view.iter_codes():
+            total = total + view.decode(block).sum(axis=0)
+            count += block.shape[0]
+        if count == 0:
             raise ValueError("cannot build routing over an empty shard")
-        centroid = values.mean(axis=0)
+        centroid = total / count
+        max_sq = 0.0
+        for block in view.iter_codes():
+            diff = view.decode(block) - centroid[np.newaxis, :]
+            max_sq = max(max_sq, float(np.max(np.einsum("ij,ij->i", diff, diff))))
+        radius = float(np.sqrt(max_sq))
+        # a relative slack above any rounding the distance computation can
+        # accumulate, so the ball provably contains every row — exact-mode
+        # routing rests on this inflation plus the query-time slack
+        radius += _ROUTING_REL_SLACK * (radius + float(np.linalg.norm(centroid))) + 1e-12
         centroids.append(centroid)
-        radii.append(covering_radius(values, centroid))
-        sizes.append(values.shape[0])
+        radii.append(radius)
+        sizes.append(count)
     return ShardRouting(
         centroids=np.asarray(centroids, dtype=np.float64),
         radii=np.asarray(radii, dtype=np.float64),

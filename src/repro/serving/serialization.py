@@ -1,15 +1,14 @@
-"""Versioned binary container for released sketch batches.
+"""Versioned binary container and on-disk layout for released sketch batches.
 
 The serving layer persists :class:`~repro.core.sketch.SketchBatch`
 payloads to disk, so unlike the wire-friendly format of
 :meth:`SketchBatch.to_bytes` it needs a *versioned* container that can
 detect corruption and evolve without breaking stored shards.
 
-Format version 3 (the current writer) lays the values section out as a
-raw, 64-byte-aligned segment in one of the
-:mod:`repro.serving.storage` element types so a reader can
-``np.memmap`` the rows straight out of the file without materialising
-them::
+Format version 3 lays the values section out as a raw, 64-byte-aligned
+segment in one of the :mod:`repro.serving.storage` element types so a
+reader can ``np.memmap`` the rows straight out of the file without
+materialising them::
 
     offset  size  field
     0       4     magic  b"RSKB"
@@ -24,34 +23,28 @@ them::
 where ``A = ceil((10 + H) / 64) * 64`` is derived from the header
 length, so the offset needs no forward pointer.  Two digests cover the
 two sections independently: ``meta_sha256`` (always verified, even on a
-memory-mapped open) and ``values_sha256`` (verified on eager reads;
-a memory-mapped open defers it, trading corruption detection for not
-touching the data — see :func:`read_batch_info`).  The recorded
-``sq_norm_bounds`` are computed from the *decoded* rows, so the
-norm-bound prefilter over a quantised mapped shard bounds exactly the
-values queries will scan.
+memory-mapped open) and ``values_sha256`` (verified on eager reads and
+at the end of every streamed read; a memory-mapped open defers it,
+trading corruption detection for not touching the data — see
+:func:`read_batch_info`).  The recorded ``sq_norm_bounds`` are computed
+from the *decoded* rows, so the norm-bound prefilter over a quantised
+mapped shard bounds exactly the values queries will scan.
 
-Format version 2 (the PR-3 writer) is version 3 without the
-``storage``/``scale`` header fields — always float64 values.  It is
-still read, eagerly and memory-mapped, and still writable via
-``batch_to_bytes(..., version=2)`` for compatibility tests.
+Version 3 is the only format read or written: any other version (the
+retired versions 1 and 2 included) fails with a
+:class:`SerializationError` naming it.
 
 Labels are stored with a **typed JSON encoding** (:func:`encode_label`):
 ``None``, booleans, integers, floats and strings survive as themselves,
 tuples/lists/dicts survive recursively, and anything else degrades to
 its ``str()`` with an explicit marker — so ``load(save(store))`` gives
-back labels *equal to the originals*, where format 1 stringified
-everything.  Non-finite float labels (``nan``/``inf``) carry an ``f8``
-hex tag so the header stays strict RFC 8259 JSON; readers predating the
-tag reject only stores containing such labels (with an unknown-encoding
-error), which was judged better than bumping the container version and
-breaking every older reader for an edge case.
+back labels *equal to the originals*.  Non-finite float labels
+(``nan``/``inf``) carry an ``f8`` hex tag so the header stays strict
+RFC 8259 JSON.
 
-Format version 1 (the PR-2 writer: JSON envelope around the verbatim
-``SketchBatch.to_bytes`` blob, one SHA-256 over the whole payload) is
-still read — both eagerly and via :func:`read_batch_info` — as the
-migration path for existing stores; its labels come back as strings,
-which is what that format recorded.
+The module also owns the store's **directory layout** — a
+``manifest.json`` naming the live ``gen-NNNNN`` shard directory — and
+:func:`publish`, the one publish protocol of every store writer.
 """
 
 from __future__ import annotations
@@ -65,18 +58,17 @@ import math
 import numbers
 import os
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.sketch import SketchBatch
 from repro.dp.mechanisms import PrivacyGuarantee
-from repro.serving.storage import StorageSpec
+from repro.serving.storage import STORAGE_SPECS, StorageSpec
 
 MAGIC = b"RSKB"
 FORMAT_VERSION = 3
-_V1 = 1
-_V2 = 2
 
 _PREFIX_LEN = len(MAGIC) + 2 + 4  # magic + version + header length
 _ALIGNMENT = 64  # values segment starts on a 64-byte boundary
@@ -143,7 +135,7 @@ def decode_label(encoded) -> object:
     raise SerializationError(f"unknown label encoding {encoded!r}")
 
 
-# -- version-2 writer ----------------------------------------------------------
+# -- the writers ---------------------------------------------------------------
 
 
 def _values_offset(header_len: int) -> int:
@@ -152,33 +144,32 @@ def _values_offset(header_len: int) -> int:
     return ((end + _ALIGNMENT - 1) // _ALIGNMENT) * _ALIGNMENT
 
 
-def _meta_dict(batch: SketchBatch, values_nbytes: int, decoded: np.ndarray) -> dict:
-    """The header metadata; norm bounds come from the *decoded* rows.
-
-    ``decoded`` is what a reader will scan after decoding the values
-    segment — for quantised storage that differs from ``batch.values``,
-    and the recorded bounds must cover the scanned rows, not the
-    originals, for the mapped prefilter to stay exact.
-    """
-    if decoded.shape[0]:
-        rows = np.asarray(decoded, dtype=np.float64)
-        norms = np.einsum("ij,ij->i", rows, rows)
-        sq_norm_bounds = [float(norms.min()), float(norms.max())]
-    else:
-        sq_norm_bounds = None
+def _meta_dict(
+    template: SketchBatch,
+    labels,
+    n_rows: int,
+    sq_norm_bounds,
+    values_nbytes: int,
+    spec: StorageSpec,
+    scale: float | None,
+) -> dict:
+    """A container's header metadata; the norm bounds are of the *decoded*
+    rows, which the mapped prefilter must bound exactly."""
     return {
-        "n_rows": len(batch),
+        "n_rows": n_rows,
         "sq_norm_bounds": sq_norm_bounds,
-        "input_dim": batch.input_dim,
-        "output_dim": batch.output_dim,
-        "perturbation": batch.perturbation,
-        "noise_spec": batch.noise_spec,
-        "noise_second_moment": batch.noise_second_moment,
-        "epsilon": batch.guarantee.epsilon,
-        "delta": batch.guarantee.delta,
-        "config_digest": batch.config_digest,
-        "labels": [encode_label(label) for label in batch.labels],
+        "input_dim": template.input_dim,
+        "output_dim": template.output_dim,
+        "perturbation": template.perturbation,
+        "noise_spec": template.noise_spec,
+        "noise_second_moment": template.noise_second_moment,
+        "epsilon": template.guarantee.epsilon,
+        "delta": template.guarantee.delta,
+        "config_digest": template.config_digest,
+        "labels": [encode_label(label) for label in labels],
         "values_nbytes": values_nbytes,
+        "storage": spec.name,
+        "scale": scale,
     }
 
 
@@ -188,118 +179,40 @@ def _meta_digest(meta: dict) -> str:
     ).hexdigest()
 
 
-#: The on-disk element type of v1/v2 values segments: float64 pinned to
-#: little-endian, so stores move between hosts of any byte order.
-#: Version 3 uses the storage spec's (equally little-endian) dtype.
-_VALUES_DTYPE = np.dtype("<f8")
-
-
-def _assemble(version: int, header: dict, values: bytes) -> bytes:
+def _assemble(meta: dict, values_sha256: str) -> bytes:
+    """Everything before the values segment: prefix, header, padding."""
+    header = dict(meta, meta_sha256=_meta_digest(meta), values_sha256=values_sha256)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    offset = _values_offset(len(header_bytes))
-    padding = b"\0" * (offset - _PREFIX_LEN - len(header_bytes))
+    padding = b"\0" * (_values_offset(len(header_bytes)) - _PREFIX_LEN - len(header_bytes))
     return (
         MAGIC
-        + version.to_bytes(2, "big")
+        + FORMAT_VERSION.to_bytes(2, "big")
         + len(header_bytes).to_bytes(4, "big")
         + header_bytes
         + padding
-        + values
     )
 
 
-def _to_bytes_v3(
-    batch: SketchBatch,
-    storage,
-    encoded: np.ndarray | None,
-    scale: float | None,
-) -> bytes:
-    """The current writer: values in the storage spec's element type.
+def _sq_norm_range(decoded: np.ndarray) -> tuple[float, float] | None:
+    if not decoded.shape[0]:
+        return None
+    rows = np.asarray(decoded, dtype=np.float64)
+    norms = np.einsum("ij,ij->i", rows, rows)
+    return float(norms.min()), float(norms.max())
 
-    With ``encoded`` given (the store's save path), those exact storage
-    codes are written verbatim — the round trip is bit-identical — and
-    ``batch.values`` must already be the *decoded* rows they scan as.
-    Without it, the rows are encoded here (quantised storage picks a
-    fresh scale from the batch's peak magnitude).
-    """
-    spec = StorageSpec.parse(storage)
-    if encoded is None:
-        if spec.quantised and scale is None:
-            peak = float(np.max(np.abs(batch.values))) if len(batch) else 0.0
-            if not np.isfinite(peak):
-                raise ValueError("int8 storage requires finite sketch values")
-            scale = spec.int8_step(peak)
-        encoded = spec.encode(batch.values, scale)
-        decoded = spec.decode(encoded, scale)
-    else:
-        decoded = np.asarray(batch.values)
-    values = np.ascontiguousarray(encoded, dtype=spec.dtype).tobytes()
-    meta = _meta_dict(batch, len(values), decoded)
-    meta["storage"] = spec.name
-    meta["scale"] = scale
-    header = dict(
-        meta,
-        meta_sha256=_meta_digest(meta),
-        values_sha256=hashlib.sha256(values).hexdigest(),
+
+_F8 = StorageSpec.parse("f8")
+
+
+def batch_to_bytes(batch: SketchBatch) -> bytes:
+    """A batch as an ``f8`` v3 container in memory (the wire's form): the
+    same bytes :class:`StreamingBatchWriter` commits for these rows."""
+    values = np.ascontiguousarray(batch.values, dtype=_F8.dtype).tobytes()
+    meta = _meta_dict(
+        batch, batch.labels, len(batch), _sq_norm_range(np.asarray(batch.values)),
+        len(values), _F8, None,
     )
-    return _assemble(FORMAT_VERSION, header, values)
-
-
-def _to_bytes_v2(batch: SketchBatch) -> bytes:
-    values = np.ascontiguousarray(batch.values, dtype=_VALUES_DTYPE).tobytes()
-    meta = _meta_dict(batch, len(values), np.asarray(batch.values))
-    header = dict(
-        meta,
-        meta_sha256=_meta_digest(meta),
-        values_sha256=hashlib.sha256(values).hexdigest(),
-    )
-    return _assemble(_V2, header, values)
-
-
-def _to_bytes_v1(batch: SketchBatch) -> bytes:
-    payload = batch.to_bytes()
-    header = {
-        "payload_bytes": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return (
-        MAGIC
-        + _V1.to_bytes(2, "big")
-        + len(header_bytes).to_bytes(4, "big")
-        + header_bytes
-        + payload
-    )
-
-
-def batch_to_bytes(
-    batch: SketchBatch,
-    *,
-    version: int = FORMAT_VERSION,
-    storage="f8",
-    encoded: np.ndarray | None = None,
-    scale: float | None = None,
-) -> bytes:
-    """Serialize a batch into the versioned binary container.
-
-    ``version=3`` (default) preserves label types, aligns the values
-    segment for memory mapping, and stores the values in the
-    :class:`~repro.serving.storage.StorageSpec` named by ``storage``
-    (``encoded``/``scale`` let a store write its exact shard codes, see
-    :func:`_to_bytes_v3`).  ``version=2`` reproduces the PR-3 header
-    (always float64) and ``version=1`` the legacy envelope (labels
-    stringified) for compatibility tests; neither accepts a non-default
-    storage.
-    """
-    if version == FORMAT_VERSION:
-        return _to_bytes_v3(batch, storage, encoded, scale)
-    if StorageSpec.parse(storage).name != "f8" or encoded is not None:
-        raise ValueError(f"format version {version} stores float64 values only")
-    if version == _V2:
-        return _to_bytes_v2(batch)
-    if version == _V1:
-        return _to_bytes_v1(batch)
-    raise ValueError(f"cannot write format version {version}")
+    return _assemble(meta, hashlib.sha256(values).hexdigest()) + values
 
 
 # -- parsing -------------------------------------------------------------------
@@ -314,27 +227,25 @@ class BatchInfo:
     memory-mapped shard loading possible.  ``meta`` is a zero-row
     :class:`SketchBatch` carrying the shared metadata; ``labels`` are
     fully decoded; ``values_offset`` / ``values_nbytes`` locate the raw
-    float64 segment for :func:`map_values`.
+    values segment for :func:`map_values`.
     """
 
     path: str | os.PathLike | None
-    version: int
     n_rows: int
     values_offset: int
     values_nbytes: int
     labels: tuple
     meta: SketchBatch
     #: ``(min, max)`` of the *decoded* rows' squared norms, recorded at
-    #: write time (formats 2/3, ``None`` for format 1) — lets the
-    #: norm-bound prefilter rule a mapped shard out without reading it.
-    sq_norm_bounds: tuple[float, float] | None = None
-    #: Storage spec name of the values segment ("f8" for formats 1/2).
-    storage: str = "f8"
+    #: write time (``None`` for a zero-row batch) — lets the norm-bound
+    #: prefilter rule a mapped shard out without reading it.
+    sq_norm_bounds: tuple[float, float] | None
+    #: Storage spec name of the values segment.
+    storage: str
     #: int8 quantisation step (``None`` for the float specs).
-    scale: float | None = None
-    #: Recorded digest of the values segment (``None`` for format 1,
-    #: whose single digest covers the whole payload).
-    values_sha256: str | None = None
+    scale: float | None
+    #: Recorded digest of the values segment.
+    values_sha256: str
 
     @property
     def output_dim(self) -> int:
@@ -352,8 +263,8 @@ def _read_exact(stream, n: int, what: str) -> bytes:
     return data
 
 
-def _parse_prefix(stream) -> tuple[int, dict]:
-    """Read magic/version/header; return ``(version, header_dict)``."""
+def _parse_prefix(stream) -> dict:
+    """Read magic/version/header; return the parsed header dict."""
     prefix = stream.read(_PREFIX_LEN)
     if len(prefix) < _PREFIX_LEN:
         raise SerializationError(
@@ -362,87 +273,58 @@ def _parse_prefix(stream) -> tuple[int, dict]:
     if prefix[:4] != MAGIC:
         raise SerializationError(f"bad magic {prefix[:4]!r}, expected {MAGIC!r}")
     version = int.from_bytes(prefix[4:6], "big")
-    if version not in (_V1, _V2, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise SerializationError(
             f"unsupported format version {version} "
-            f"(this build reads {_V1} through {FORMAT_VERSION})"
+            f"(this build reads only version {FORMAT_VERSION})"
         )
     header_len = int.from_bytes(prefix[6:10], "big")
     header_bytes = _read_exact(stream, header_len, "header")
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        return json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SerializationError(f"header is not valid JSON: {exc}") from exc
-    return version, header
 
 
-_META_TEMPLATE_FIELDS_V2 = (
-    "n_rows",
-    "sq_norm_bounds",
-    "input_dim",
-    "output_dim",
-    "perturbation",
-    "noise_spec",
-    "noise_second_moment",
-    "epsilon",
-    "delta",
-    "config_digest",
-    "labels",
-    "values_nbytes",
-)
-
-_META_TEMPLATE_FIELDS_V3 = _META_TEMPLATE_FIELDS_V2 + ("storage", "scale")
-
-
-def _meta_from_header(header: dict) -> SketchBatch:
-    """A zero-row metadata carrier from a parsed v1-payload/v2 header."""
-    return SketchBatch(
-        values=np.empty((0, header["output_dim"])),
-        input_dim=header["input_dim"],
-        output_dim=header["output_dim"],
-        perturbation=header["perturbation"],
-        noise_spec=header["noise_spec"],
-        noise_second_moment=header["noise_second_moment"],
-        guarantee=PrivacyGuarantee(header["epsilon"], header["delta"]),
-        config_digest=header["config_digest"],
-    )
-
-
-def _parse_v23_header(version: int, header: dict, header_len: int) -> BatchInfo:
-    fields = (
-        _META_TEMPLATE_FIELDS_V3 if version == FORMAT_VERSION else _META_TEMPLATE_FIELDS_V2
-    )
+def _parse_header(meta: dict, header_len: int) -> BatchInfo:
+    """A :class:`BatchInfo` from a parsed header (all but the digests is metadata)."""
     try:
-        meta = {field: header[field] for field in fields}
-        meta_digest = header["meta_sha256"]
-        values_digest = header["values_sha256"]
+        meta_digest = meta.pop("meta_sha256")
+        values_digest = meta.pop("values_sha256")
+        if _meta_digest(meta) != meta_digest:
+            raise SerializationError(
+                "metadata digest mismatch: stored batch header is corrupt"
+            )
+        spec = STORAGE_SPECS.get(meta["storage"])
+        if spec is None:
+            raise SerializationError(f"unknown storage spec {meta['storage']!r}")
+        scale = meta["scale"]
+        if spec.quantised and scale is None:
+            raise SerializationError("int8 values segment recorded without a scale")
+        bounds = meta["sq_norm_bounds"]
+        info = BatchInfo(
+            path=None,
+            n_rows=int(meta["n_rows"]),
+            values_offset=_values_offset(header_len),
+            values_nbytes=int(meta["values_nbytes"]),
+            labels=tuple(decode_label(label) for label in meta["labels"]),
+            meta=SketchBatch(
+                values=np.empty((0, meta["output_dim"])),
+                input_dim=meta["input_dim"],
+                output_dim=meta["output_dim"],
+                perturbation=meta["perturbation"],
+                noise_spec=meta["noise_spec"],
+                noise_second_moment=meta["noise_second_moment"],
+                guarantee=PrivacyGuarantee(meta["epsilon"], meta["delta"]),
+                config_digest=meta["config_digest"],
+            ),
+            sq_norm_bounds=None if bounds is None else (float(bounds[0]), float(bounds[1])),
+            storage=spec.name,
+            scale=None if scale is None else float(scale),
+            values_sha256=values_digest,
+        )
     except KeyError as exc:
         raise SerializationError(f"header is missing required field {exc}") from exc
-    if _meta_digest(meta) != meta_digest:
-        raise SerializationError(
-            "metadata digest mismatch: stored batch header is corrupt"
-        )
-    try:
-        spec = StorageSpec.parse(meta.get("storage", "f8"))
-    except ValueError as exc:
-        raise SerializationError(str(exc)) from exc
-    scale = meta.get("scale")
-    if spec.quantised and scale is None:
-        raise SerializationError("int8 values segment recorded without a scale")
-    bounds = meta["sq_norm_bounds"]
-    info = BatchInfo(
-        path=None,
-        version=version,
-        n_rows=int(meta["n_rows"]),
-        values_offset=_values_offset(header_len),
-        values_nbytes=int(meta["values_nbytes"]),
-        labels=tuple(decode_label(label) for label in meta["labels"]),
-        meta=_meta_from_header(meta),
-        sq_norm_bounds=None if bounds is None else (float(bounds[0]), float(bounds[1])),
-        storage=spec.name,
-        scale=None if scale is None else float(scale),
-        values_sha256=values_digest,
-    )
     expected = info.n_rows * info.meta.output_dim * spec.itemsize
     if info.values_nbytes != expected:
         raise SerializationError(
@@ -459,127 +341,59 @@ def _parse_v23_header(version: int, header: dict, header_len: int) -> BatchInfo:
     return info
 
 
-def _from_bytes_v23(stream, version: int, header: dict, header_len: int) -> SketchBatch:
-    info = _parse_v23_header(version, header, header_len)
-    _read_exact(stream, info.values_offset - _PREFIX_LEN - header_len, "padding")
-    values_bytes = stream.read()
-    if len(values_bytes) != info.values_nbytes:
-        raise SerializationError(
-            f"payload has {len(values_bytes)} bytes, header says {info.values_nbytes}"
-        )
-    digest = hashlib.sha256(values_bytes).hexdigest()
+def _check_values_digest(info: BatchInfo, digest: str) -> None:
     if digest != info.values_sha256:
         raise SerializationError(
             "payload digest mismatch: stored batch is corrupt "
             f"(expected {info.values_sha256}, got {digest})"
         )
-    spec = info.storage_spec
-    raw = np.frombuffer(values_bytes, dtype=spec.dtype).reshape(
-        info.n_rows, info.meta.output_dim
-    )
-    values = spec.decode(raw, info.scale).astype(np.float64, copy=True)
-    return dataclasses.replace(info.meta, values=values, labels=info.labels)
 
 
-def _from_bytes_v1(stream, header: dict) -> SketchBatch:
-    payload = stream.read()
-    try:
-        expected_bytes = int(header["payload_bytes"])
-        expected_digest = header["payload_sha256"]
-    except KeyError as exc:
-        raise SerializationError(f"header is missing required field {exc}") from exc
-    if len(payload) != expected_bytes:
+def batch_raw_from_bytes(blob: bytes) -> tuple[BatchInfo, np.ndarray]:
+    """A container held in memory as its info and raw (undecoded) codes.
+
+    Every layer is validated, both digests included.
+    """
+    stream = io.BytesIO(blob)
+    header = _parse_prefix(stream)
+    info = _parse_header(header, stream.tell() - _PREFIX_LEN)
+    values = memoryview(blob)[info.values_offset :]
+    if len(values) != info.values_nbytes:
         raise SerializationError(
-            f"payload has {len(payload)} bytes, header says {expected_bytes}"
+            f"payload has {len(values)} bytes, header says {info.values_nbytes}"
         )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != expected_digest:
-        raise SerializationError(
-            "payload digest mismatch: stored batch is corrupt "
-            f"(expected {expected_digest}, got {digest})"
-        )
-    try:
-        return SketchBatch.from_bytes(payload)
-    except ValueError as exc:  # digest passed but the writer produced junk
-        raise SerializationError(f"payload is not a valid batch: {exc}") from exc
+    _check_values_digest(info, hashlib.sha256(values).hexdigest())
+    raw = np.frombuffer(values, dtype=info.storage_spec.dtype)
+    return info, raw.reshape(info.n_rows, info.meta.output_dim)
 
 
 def batch_from_bytes(blob: bytes) -> SketchBatch:
     """Inverse of :func:`batch_to_bytes`, validating every layer.
 
-    Reads both format versions.  Raises :class:`SerializationError` for
-    a bad magic, an unsupported format version, a truncated header or
-    payload, a payload whose size disagrees with the header, or a
-    digest that does not match the one recorded at write time.
+    Decodes any storage spec to float64 rows.  Raises
+    :class:`SerializationError` for a bad magic, a format version other
+    than 3, a truncated header or payload, a payload whose size
+    disagrees with the header, or a digest that does not match the one
+    recorded at write time.
     """
-    stream = io.BytesIO(blob)
-    version, header = _parse_prefix(stream)
-    header_len = int.from_bytes(blob[6:10], "big")
-    if version in (_V2, FORMAT_VERSION):
-        return _from_bytes_v23(stream, version, header, header_len)
-    return _from_bytes_v1(stream, header)
-
-
-def _scan_v1_payload_header(stream) -> tuple[dict, int]:
-    """Parse the JSON first line of a v1 payload; return ``(header, line_len)``.
-
-    Reads in bounded chunks until the newline separating the metadata
-    from the raw values, so label-heavy shards do not force a full read.
-    """
-    chunks = []
-    total = 0
-    while True:
-        chunk = stream.read(65536)
-        if not chunk:
-            raise SerializationError("v1 payload has no metadata/values separator")
-        newline = chunk.find(b"\n")
-        if newline >= 0:
-            chunks.append(chunk[:newline])
-            total += newline
-            break
-        chunks.append(chunk)
-        total += len(chunk)
-    try:
-        return json.loads(b"".join(chunks).decode("utf-8")), total
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SerializationError(f"v1 payload header is not valid JSON: {exc}") from exc
+    info, raw = batch_raw_from_bytes(blob)
+    values = info.storage_spec.decode(raw, info.scale).astype(np.float64, copy=True)
+    return dataclasses.replace(info.meta, values=values, labels=info.labels)
 
 
 def read_batch_info(path: str | os.PathLike) -> BatchInfo:
     """Parse a stored batch's header without reading its values section.
 
-    Works for both format versions.  The values digest is **not**
-    verified (that would require reading the values); the v2 metadata
-    digest is.  Use :func:`map_values` on the result to get the rows as
-    a read-only memory map, or :func:`read_batch` for a fully verified
-    eager load.
+    The values digest is **not** verified (that would require reading
+    the values); the metadata digest is.  Use :func:`map_values` on the
+    result to get the rows as a read-only memory map, or
+    :func:`read_batch` for a fully verified eager load.
     """
     with open(path, "rb") as stream:
-        version, header = _parse_prefix(stream)
-        if version in (_V2, FORMAT_VERSION):
-            # the true header length is the file position past the prefix
-            header_len = stream.tell() - _PREFIX_LEN
-            info = _parse_v23_header(version, header, header_len)
-            return dataclasses.replace(info, path=os.fspath(path))
-        payload_start = stream.tell()
-        payload_header, line_len = _scan_v1_payload_header(stream)
-        try:
-            n_rows = int(payload_header["n_rows"])
-            meta = _meta_from_header(payload_header)
-            labels = tuple(payload_header.get("labels", ()))
-        except KeyError as exc:
-            raise SerializationError(
-                f"v1 payload header is missing required field {exc}"
-            ) from exc
-        return BatchInfo(
-            path=os.fspath(path),
-            version=_V1,
-            n_rows=n_rows,
-            values_offset=payload_start + line_len + 1,
-            values_nbytes=n_rows * meta.output_dim * 8,
-            labels=labels,
-            meta=meta,
-        )
+        header = _parse_prefix(stream)
+        # the true header length is the file position past the prefix
+        info = _parse_header(header, stream.tell() - _PREFIX_LEN)
+    return dataclasses.replace(info, path=os.fspath(path))
 
 
 def map_values(info: BatchInfo) -> np.ndarray:
@@ -591,7 +405,7 @@ def map_values(info: BatchInfo) -> np.ndarray:
     RAM serve queries.  Quantised segments map as their codes; decode
     with ``info.storage_spec.decode(..., info.scale)`` to get scan
     values.  Corruption in the values section is *not* detected on this
-    path (the digest is only checked by eager reads).
+    path (the digest is only checked by eager and streamed reads).
     """
     if info.path is None:
         raise ValueError("this BatchInfo was parsed from bytes, not a file")
@@ -603,9 +417,12 @@ def map_values(info: BatchInfo) -> np.ndarray:
         raise SerializationError(
             f"{info.path} is truncated: values section ends at byte {end}"
         )
-    dtype = np.float64 if info.version == _V1 else info.storage_spec.dtype
     return np.memmap(
-        info.path, dtype=dtype, mode="r", offset=info.values_offset, shape=shape
+        info.path,
+        dtype=info.storage_spec.dtype,
+        mode="r",
+        offset=info.values_offset,
+        shape=shape,
     )
 
 
@@ -615,41 +432,11 @@ def read_batch_raw(path: str | os.PathLike) -> tuple[BatchInfo, np.ndarray]:
     The store's eager load path: unlike :func:`read_batch` it hands
     back the storage codes exactly as written (no decode, no float64
     widening), so a quantised store reloads its shards bit-identically
-    instead of round-tripping through full precision.  The values
-    digest is verified (format 1 verifies via its whole-payload digest).
+    instead of round-tripping through full precision.
     """
-    info = read_batch_info(path)
-    if info.version == _V1:
-        return info, np.asarray(read_batch(path).values)
-    with open(path, "rb") as stream:
-        stream.seek(info.values_offset)
-        values_bytes = _read_exact(stream, info.values_nbytes, "values section")
-    digest = hashlib.sha256(values_bytes).hexdigest()
-    if digest != info.values_sha256:
-        raise SerializationError(
-            "payload digest mismatch: stored batch is corrupt "
-            f"(expected {info.values_sha256}, got {digest})"
-        )
-    raw = np.frombuffer(values_bytes, dtype=info.storage_spec.dtype)
-    return info, raw.reshape(info.n_rows, info.meta.output_dim)
-
-
-def write_batch(
-    path: str | os.PathLike,
-    batch: SketchBatch,
-    *,
-    version: int = FORMAT_VERSION,
-    storage="f8",
-    encoded: np.ndarray | None = None,
-    scale: float | None = None,
-) -> None:
-    """Write a batch to ``path`` in the versioned binary format."""
-    with open(path, "wb") as handle:
-        handle.write(
-            batch_to_bytes(
-                batch, version=version, storage=storage, encoded=encoded, scale=scale
-            )
-        )
+    with open(path, "rb") as handle:
+        info, raw = batch_raw_from_bytes(handle.read())
+    return dataclasses.replace(info, path=os.fspath(path)), raw
 
 
 def read_batch(path: str | os.PathLike) -> SketchBatch:
@@ -658,7 +445,7 @@ def read_batch(path: str | os.PathLike) -> SketchBatch:
         return batch_from_bytes(handle.read())
 
 
-# -- streaming (disk-to-disk maintenance) --------------------------------------
+# -- streaming -----------------------------------------------------------------
 
 #: Default rows per streamed block: 8192 rows of a k=256 f8 sketch is
 #: 16 MiB — big enough to amortise syscalls and BLAS/hashing setup,
@@ -673,29 +460,22 @@ def iter_batch_rows(info: BatchInfo, block_rows: int = DEFAULT_BLOCK_ROWS, *,
     Yields C-contiguous ``(<= block_rows, output_dim)`` arrays in the
     *storage* dtype (no decode, no float64 widening), read with plain
     buffered I/O rather than ``mmap`` so peak RSS is genuinely bounded
-    by one block — the foundation the store's disk-to-disk
-    ``compact``/``merge`` path is built on.  The recorded values digest
-    accumulates across blocks and is verified once the stream is
-    exhausted (``verify=False`` skips it); a partially consumed
-    generator verifies nothing.  Callers that write the blocks
-    somewhere permanent must therefore finish the stream *before*
-    publishing the result — the maintenance layer streams into a
+    by one block — the foundation every store rewrite is built on.  The
+    recorded values digest accumulates across blocks and is verified
+    once the stream is exhausted (``verify=False`` skips it); a
+    partially consumed generator verifies nothing.  Callers that write
+    the blocks somewhere permanent must therefore finish the stream
+    *before* publishing the result — every writer streams into a
     staging directory precisely so a corrupt source aborts the whole
     rewrite instead of publishing half of it.
-
-    Format-1 blobs stream as float64 rows but carry one digest over the
-    whole envelope, which a block reader cannot check incrementally —
-    use :func:`read_batch` when v1 corruption detection matters.
     """
     if info.path is None:
         raise ValueError("this BatchInfo was parsed from bytes, not a file")
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    dtype = _VALUES_DTYPE if info.version == _V1 else info.storage_spec.dtype
+    dtype = info.storage_spec.dtype
     row_nbytes = info.meta.output_dim * dtype.itemsize
-    digest = (
-        hashlib.sha256() if verify and info.values_sha256 is not None else None
-    )
+    digest = hashlib.sha256() if verify else None
     with open(info.path, "rb") as stream:
         stream.seek(info.values_offset)
         remaining = info.n_rows
@@ -708,27 +488,21 @@ def iter_batch_rows(info: BatchInfo, block_rows: int = DEFAULT_BLOCK_ROWS, *,
                 take, info.meta.output_dim
             )
             remaining -= take
-    if digest is not None and digest.hexdigest() != info.values_sha256:
-        raise SerializationError(
-            "payload digest mismatch: stored batch is corrupt "
-            f"(expected {info.values_sha256}, got {digest.hexdigest()})"
-        )
+    if digest is not None:
+        _check_values_digest(info, digest.hexdigest())
 
 
 class StreamingBatchWriter:
     """Write a format-3 container incrementally, one row block at a time.
 
-    The v3 header *precedes* the values segment and records its SHA-256
-    digest, row count and decoded norm bounds — none of which a
-    streaming writer knows up front.  Blocks therefore stream into a
-    temporary sibling file (``<path>.values-tmp``) while the digest,
-    row count and norm bounds accumulate incrementally; :meth:`commit`
-    then writes the final container (prefix, header, alignment padding)
-    and splices the temp file in with a bounded-buffer copy.  Peak
-    memory is O(one block), never O(shard), and the committed file is
-    **byte-identical** to :func:`write_batch` given the same content —
-    partitioned mins/maxes and a chunked SHA-256 equal their one-shot
-    counterparts exactly.
+    The only file writer.  The v3 header *precedes* the values segment
+    and records its SHA-256 digest, row count and decoded norm bounds —
+    none of which a streaming writer knows up front.  So they accumulate
+    block by block while every block but the latest spills to an
+    anonymous temporary file; :meth:`commit` writes the header (with the
+    helpers of :func:`batch_to_bytes`), the spill and the held block, so
+    a one-block shard is written once.  Peak memory is O(block), and the
+    bytes do not depend on how the rows were split into blocks.
 
     ``template`` is a zero-row :class:`SketchBatch` carrying the shared
     metadata.  :meth:`append` takes raw storage *codes* already encoded
@@ -739,7 +513,7 @@ class StreamingBatchWriter:
     which is fine — labels are header metadata, small next to the
     values, and the store's positional-elision rule passes ``()``
     anyway.  Use as a context manager: an exception aborts and removes
-    the temp and any partial output file.
+    any partial output file.
     """
 
     def __init__(
@@ -757,10 +531,10 @@ class StreamingBatchWriter:
                 "up front (per-shard scales are immutable once published)"
             )
         self._path = os.fspath(path)
-        self._tmp_path = self._path + ".values-tmp"
         self._template = template
         self._scale = scale
-        self._tmp = open(self._tmp_path, "wb")
+        self._spill = tempfile.TemporaryFile(dir=os.path.dirname(self._path) or None)
+        self._held = np.empty((0, template.output_dim), self._spec.dtype)  # unwritten
         self._digest = hashlib.sha256()
         self._labels: list = []
         self._min_sq = np.inf
@@ -770,7 +544,11 @@ class StreamingBatchWriter:
         self._committed = False
 
     def append(self, codes: np.ndarray, labels=()) -> None:
-        """Stream one block of raw storage codes (plus its labels)."""
+        """Stream one block of raw storage codes (plus its labels).
+
+        The block is held, not copied, until the next append or the
+        commit: it must not change before then.
+        """
         codes = np.ascontiguousarray(codes, dtype=self._spec.dtype)
         if codes.ndim != 2 or codes.shape[1] != self._template.output_dim:
             raise ValueError(
@@ -781,70 +559,46 @@ class StreamingBatchWriter:
             raise ValueError(
                 f"got {len(labels)} labels for a {codes.shape[0]}-row block"
             )
-        data = codes.tobytes()
-        self._digest.update(data)
-        self._tmp.write(data)
-        decoded = np.asarray(self._spec.decode(codes, self._scale), dtype=np.float64)
-        if decoded.shape[0]:
-            norms = np.einsum("ij,ij->i", decoded, decoded)
-            self._min_sq = min(self._min_sq, float(norms.min()))
-            self._max_sq = max(self._max_sq, float(norms.max()))
+        self._digest.update(codes)
+        self._spill.write(self._held)
+        self._held = codes
+        bounds = _sq_norm_range(self._spec.decode(codes, self._scale))
+        if bounds is not None:
+            self._min_sq = min(self._min_sq, bounds[0])
+            self._max_sq = max(self._max_sq, bounds[1])
         self.n_rows += codes.shape[0]
-        self.nbytes += len(data)
+        self.nbytes += codes.nbytes
         self._labels.extend(labels)
 
     def commit(self) -> None:
         """Assemble the final container; the writer is spent afterwards."""
         if self._committed:
             raise ValueError(f"{self._path} was already committed")
-        self._tmp.close()
-        template = self._template
-        meta = {
-            "n_rows": self.n_rows,
-            "sq_norm_bounds": (
-                None if self.n_rows == 0 else [self._min_sq, self._max_sq]
-            ),
-            "input_dim": template.input_dim,
-            "output_dim": template.output_dim,
-            "perturbation": template.perturbation,
-            "noise_spec": template.noise_spec,
-            "noise_second_moment": template.noise_second_moment,
-            "epsilon": template.guarantee.epsilon,
-            "delta": template.guarantee.delta,
-            "config_digest": template.config_digest,
-            "labels": [encode_label(label) for label in self._labels],
-            "values_nbytes": self.nbytes,
-            "storage": self._spec.name,
-            "scale": self._scale,
-        }
-        header = dict(
-            meta,
-            meta_sha256=_meta_digest(meta),
-            values_sha256=self._digest.hexdigest(),
+        meta = _meta_dict(
+            self._template,
+            self._labels,
+            self.n_rows,
+            None if self.n_rows == 0 else [self._min_sq, self._max_sq],
+            self.nbytes,
+            self._spec,
+            self._scale,
         )
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        offset = _values_offset(len(header_bytes))
         with open(self._path, "wb") as out:
-            out.write(MAGIC)
-            out.write(FORMAT_VERSION.to_bytes(2, "big"))
-            out.write(len(header_bytes).to_bytes(4, "big"))
-            out.write(header_bytes)
-            out.write(b"\0" * (offset - _PREFIX_LEN - len(header_bytes)))
-            with open(self._tmp_path, "rb") as values:
-                shutil.copyfileobj(values, out, 1 << 20)
-        os.remove(self._tmp_path)
+            out.write(_assemble(meta, self._digest.hexdigest()))
+            self._spill.seek(0)
+            shutil.copyfileobj(self._spill, out, 1 << 20)
+            out.write(self._held)
+        self._spill.close()
         self._committed = True
 
     def abort(self) -> None:
-        """Remove the temp file and any partial output (idempotent)."""
-        if not self._tmp.closed:
-            self._tmp.close()
+        """Drop the spill and any partial output (idempotent)."""
+        self._spill.close()
         if not self._committed:
-            for leftover in (self._tmp_path, self._path):
-                try:
-                    os.remove(leftover)
-                except FileNotFoundError:
-                    pass
+            try:
+                os.remove(self._path)
+            except FileNotFoundError:
+                pass
 
     def __enter__(self) -> "StreamingBatchWriter":
         return self
@@ -852,38 +606,6 @@ class StreamingBatchWriter:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None or not self._committed:
             self.abort()
-
-
-def write_batch_streaming(
-    path: str | os.PathLike,
-    blocks,
-    template: SketchBatch,
-    *,
-    storage="f8",
-    scale: float | None = None,
-    labels=(),
-) -> None:
-    """Write an iterable of raw code blocks as one v3 batch container.
-
-    The convenience wrapper over :class:`StreamingBatchWriter`:
-    ``labels`` (when given) is the *full* label tuple, sliced per block
-    as the stream advances, and must match the total row count.  Byte
-    identical to :func:`write_batch` for the same content, with peak
-    memory bounded by one block.
-    """
-    with StreamingBatchWriter(
-        path, template, storage=storage, scale=scale
-    ) as writer:
-        offset = 0
-        for block in blocks:
-            block = np.asarray(block)
-            writer.append(
-                block, labels[offset : offset + block.shape[0]] if labels else ()
-            )
-            offset += block.shape[0]
-        if labels and offset != len(labels):
-            raise ValueError(f"got {len(labels)} labels for {offset} streamed rows")
-        writer.commit()
 
 
 # -- routing blobs -------------------------------------------------------------
@@ -972,3 +694,105 @@ def read_routing_blob(
             f"for {n_shards} shards"
         )
     return payload, centroids.astype(np.float64), radii.astype(np.float64)
+
+
+# -- the store directory layout ------------------------------------------------
+
+MANIFEST_NAME = "manifest.json"
+#: Version 2 adds the optional ``routing`` entry (centroid shard
+#: routing); version-1 manifests — every pre-routing store — still load.
+MANIFEST_VERSION = 2
+_SUPPORTED_MANIFEST_VERSIONS = (1, 2)
+SHARD_PATTERN = "shard-{:05d}.skb"
+GENERATION_PATTERN = "gen-{:05d}"
+
+
+def read_manifest(path: str | os.PathLike) -> dict:
+    """Read and validate a store directory's ``manifest.json``.
+
+    The shared parsing step of the store loader, the maintenance layer
+    and the server's generation watcher — all three must agree on what a
+    well-formed manifest is.  Raises ``FileNotFoundError`` when no
+    manifest exists and :class:`SerializationError` for junk or an
+    unsupported version.
+    """
+    manifest_path = Path(path) / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise FileNotFoundError(f"no store manifest at {manifest_path}")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise SerializationError(
+            f"manifest at {manifest_path} is not valid JSON: {exc}"
+        ) from exc
+    if manifest.get("manifest_version") not in _SUPPORTED_MANIFEST_VERSIONS:
+        raise SerializationError(
+            f"unsupported manifest version {manifest.get('manifest_version')!r}"
+        )
+    return manifest
+
+
+def shard_dir(root: str | os.PathLike, manifest: dict) -> Path:
+    """A manifest's ``gen-NNNNN`` shard directory (``root`` for a flat,
+    pre-generation layout, whose manifest names none)."""
+    return Path(root) / manifest.get("shards_dir", "")
+
+
+def write_manifest(root: str | os.PathLike, manifest: dict) -> None:
+    """Atomically replace ``root/manifest.json``: the one manifest writer."""
+    tmp = Path(root) / f".{MANIFEST_NAME}.tmp-{os.getpid()}"
+    tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    os.replace(tmp, Path(root) / MANIFEST_NAME)
+
+
+def publish(root: str | os.PathLike, generation: int, write) -> tuple[int, list[str]]:
+    """Publish the next generation of the store at ``root``; the one protocol.
+
+    ``write(staging, N)`` fills ``root/.gen-N.staging-<pid>/`` and
+    returns the manifest's store facts; it is renamed to ``gen-N``, the
+    manifest is pointed at it, and everything but it and the replaced
+    generation (in-flight readers may still map it) is pruned.  ``N`` is
+    ``generation`` in a directory without a manifest, else
+    ``max(generation, live + 1)``.  A failure leaves the live store
+    intact (a failed first publish removes ``root``).  Returns ``(N,
+    pruned names)``.
+    """
+    root = Path(root)
+    fresh = not root.exists()
+    root.mkdir(parents=True, exist_ok=True)
+    live = read_manifest(root) if (root / MANIFEST_NAME).exists() else None
+    if live is not None:
+        generation = max(generation, int(live.get("generation", 0)) + 1)
+    name = GENERATION_PATTERN.format(generation)
+    staging = root / f".{name}.staging-{os.getpid()}"
+    pruned = []
+    try:
+        for leftover in (staging, root / name):  # crash orphans in our way
+            if leftover.exists():
+                shutil.rmtree(leftover)
+                pruned.append(leftover.name)
+        staging.mkdir()
+        facts = write(staging, generation)
+        os.replace(staging, root / name)
+        write_manifest(
+            root,
+            {
+                **facts,
+                "manifest_version": MANIFEST_VERSION,
+                "generation": generation,
+                "shards_dir": name,
+            },
+        )
+    except BaseException:
+        shutil.rmtree(root if fresh else staging, ignore_errors=True)
+        raise
+    previous = "" if live is None else live.get("shards_dir", "")
+    for leftover in sorted(root.glob(".gen-*.staging-*")) + sorted(root.glob("gen-*")):
+        if leftover.is_dir() and leftover.name not in (name, previous):
+            shutil.rmtree(leftover, ignore_errors=True)
+            pruned.append(leftover.name)
+    if previous:
+        for stale in sorted(root.glob("shard-*.skb")):
+            stale.unlink()
+            pruned.append(stale.name)
+    return generation, pruned

@@ -87,12 +87,9 @@ normally and returns empty results.
    documented owner of the clamping rule — while matrix payloads
    (cross, pairwise, norms) stay raw and unbiased.
 
-**Deprecation policy.**  The pre-query-plane methods ``top_k`` /
-``top_k_batch`` / ``radius`` / ``cross`` / ``pairwise_submatrix`` are
-thin shims over ``execute()``: bit-identical results, plus a
-``DeprecationWarning``.  They remain for at least two further releases
-of this package before removal; new code should construct the typed
-query and call ``execute()``.
+**One entry point.**  The pre-query-plane method-per-query shims
+served their deprecation period and are gone: build the typed query
+and call ``execute()``.
 """
 
 from __future__ import annotations
@@ -100,7 +97,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -222,16 +218,6 @@ class _RunningBest:
                 merged = np.concatenate([self._best[q], estimates])
                 merged.sort()
                 self._best[q] = merged[: self._k]
-
-
-def _deprecated(old: str, replacement: str) -> None:
-    warnings.warn(
-        f"DistanceService.{old}() is deprecated and will be removed after two "
-        f"further releases; build a {replacement} and call execute() instead "
-        "(bit-identical results)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def _shard_stats(
@@ -735,33 +721,6 @@ class DistanceService:
             - correction
         )
         return norms, _shard_stats(views, [True] * len(views))
-
-    # -- deprecated method-per-query shims -----------------------------------
-
-    def top_k(self, query, k: int = 1) -> list[tuple[object, float]]:
-        """Deprecated: ``execute(TopKQuery(queries=query, k=k)).payload[0]``."""
-        _deprecated("top_k", "TopKQuery")
-        return self.execute(TopKQuery(queries=query, k=k)).payload[0]
-
-    def top_k_batch(self, queries, k: int = 1) -> list[list[tuple[object, float]]]:
-        """Deprecated: ``execute(TopKQuery(queries=queries, k=k)).payload``."""
-        _deprecated("top_k_batch", "TopKQuery")
-        return self.execute(TopKQuery(queries=queries, k=k)).payload
-
-    def radius(self, query, radius_sq: float) -> list[tuple[object, float]]:
-        """Deprecated: ``execute(RadiusQuery(query, radius_sq)).payload``."""
-        _deprecated("radius", "RadiusQuery")
-        return self.execute(RadiusQuery(query=query, radius_sq=radius_sq)).payload
-
-    def cross(self, queries) -> np.ndarray:
-        """Deprecated: ``execute(CrossQuery(queries)).payload``."""
-        _deprecated("cross", "CrossQuery")
-        return self.execute(CrossQuery(queries=queries)).payload
-
-    def pairwise_submatrix(self, indices) -> np.ndarray:
-        """Deprecated: ``execute(PairwiseQuery(indices)).payload``."""
-        _deprecated("pairwise_submatrix", "PairwiseQuery")
-        return self.execute(PairwiseQuery(indices=tuple(indices))).payload
 
 
 DistanceService._HANDLERS = {

@@ -28,13 +28,13 @@ incrementally at append time) plus their min/max, which the query
 plane's norm-bound prefilter uses to skip shards that provably cannot
 contain a hit.
 
-Stores persist as a directory — a ``manifest.json`` plus one versioned
-binary blob per shard (:mod:`repro.serving.serialization`) — and load
-back bit-exactly, **including label types** (integer labels come back
-as integers).  :meth:`ShardedSketchStore.save` is atomic: it writes
-into a temporary sibling directory and swaps it into place, so a crash
-mid-save never corrupts an existing store and re-saving a smaller store
-over a larger one leaves no stale shard files behind.
+Stores persist as a directory — a ``manifest.json`` naming the live
+``gen-NNNNN`` directory of v3 shard blobs
+(:mod:`repro.serving.serialization`) — and load back bit-exactly,
+**including label types** (integer labels come back as integers).
+:meth:`ShardedSketchStore.save` publishes like every store writer: a
+crash never touches the store on disk, and readers of the previous
+generation keep answering from its retained files.
 
 ``load(path, mmap=True)`` attaches each shard as a lazy memory map
 instead of reading it into RAM: nothing is touched until a query needs
@@ -55,13 +55,12 @@ budget, the same argument that makes result caching free
 never decremented.  A tombstone is an availability control, not a
 privacy rewind: anyone who saw the published sketch still holds it.
 
-Every manifest carries a **generation** counter that maintenance bumps
-each time it rewrites the shard layout.  The disk-to-disk path
-(:func:`repro.serving.maintenance.compact_store`) streams generation
-``N+1`` into a sibling ``gen-NNNNN`` directory in bounded row blocks
-(:meth:`ShardView.iter_codes` — peak memory is O(block), not O(store))
-and atomically replaces the manifest, so a long-running server can
-watch the manifest and hot-swap to the new layout without a restart.
+Every manifest carries a **generation** counter that each publish
+raises, so a long-running server can watch it and hot-swap without a
+restart.  :meth:`~ShardedSketchStore.compact`,
+:meth:`~ShardedSketchStore.merge` and :func:`rewrite_store` (their disk
+form) share one pass streaming live rows in bounded blocks
+(:meth:`ShardView.iter_codes`: peak memory is O(block), not O(store)).
 
 Concurrency contract (shared with :class:`~repro.serving.service.DistanceService`):
 one writer at a time; any number of concurrent readers, each of which
@@ -73,9 +72,7 @@ snapshot never exposes partially written rows.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -93,27 +90,24 @@ from repro.serving.routing import (
 from repro.serving.serialization import (
     DEFAULT_BLOCK_ROWS,
     ROUTING_BLOB_NAME,
+    SHARD_PATTERN,
     BatchInfo,
     SerializationError,
+    StreamingBatchWriter,
     iter_batch_rows,
     map_values,
+    publish,
     read_batch_info,
     read_batch_raw,
+    read_manifest,
     read_routing_blob,
-    write_batch,
+    shard_dir,
     write_routing_blob,
 )
 from repro.serving.storage import INT8_CODE_MAX, StorageSpec
 
 #: Default rows per shard; 2^16 rows of a k=256 sketch is ~128 MiB.
 DEFAULT_SHARD_CAPACITY = 65536
-
-_MANIFEST_NAME = "manifest.json"
-#: Version 2 adds the optional ``routing`` entry (centroid shard
-#: routing); version-1 manifests — every pre-routing store — still load.
-_MANIFEST_VERSION = 2
-_SUPPORTED_MANIFEST_VERSIONS = (1, 2)
-_SHARD_PATTERN = "shard-{:05d}.skb"
 
 
 class _Shard:
@@ -259,16 +253,10 @@ class _Shard:
             self._decoded = cached
         return cached
 
-    @property
-    def codes(self) -> np.ndarray:
-        """The filled rows in raw storage form (read-only, no decode)."""
-        view = self._buffer[: self.size]
-        view.flags.writeable = False
-        return view
-
     def iter_codes(self, block_rows: int = DEFAULT_BLOCK_ROWS):
-        """The filled rows as bounded blocks of raw codes (zero copy)."""
-        codes = self.codes
+        """The filled rows as bounded blocks of raw codes (read-only, zero copy)."""
+        codes = self._buffer[: self.size]
+        codes.flags.writeable = False
         for start in range(0, self.size, block_rows):
             yield codes[start : start + block_rows]
 
@@ -297,22 +285,20 @@ class _MappedShard:
     labels and squared-norm bounds from the blob header alone, so the
     norm-bound prefilter can rule the shard out without touching the
     file.  The first access to :attr:`values` memory-maps the raw
-    float64 segment (read-only, pages loaded on demand by the OS); the
-    first access to :attr:`sq_norms` streams one pass over the rows to
-    build the norm cache (and, for format-1 blobs whose headers carry
-    no bounds, fills :meth:`norm_bounds` as a side effect).  Mapped
-    shards are sealed: :attr:`free` is always zero, so appends to the
-    owning store land in fresh in-memory shards.
+    values segment (read-only, pages loaded on demand by the OS); the
+    first access to :attr:`sq_norms` makes one pass over the rows to
+    build the norm cache.  Mapped shards are sealed: :attr:`free` is
+    always zero, so appends to the owning store land in fresh in-memory
+    shards.
     """
 
-    __slots__ = ("size", "_info", "_values", "_sq_norms", "_bounds")
+    __slots__ = ("size", "_info", "_values", "_sq_norms")
 
     def __init__(self, info: BatchInfo) -> None:
         self.size = info.n_rows
         self._info = info
         self._values: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
-        self._bounds: tuple[float, float] | None = info.sq_norm_bounds
 
     @property
     def capacity(self) -> int:
@@ -352,11 +338,6 @@ class _MappedShard:
             self._values = decoded
         return self._values
 
-    @property
-    def codes(self) -> np.ndarray:
-        """Raw storage values, memory-mapped (the save/compact path)."""
-        return map_values(self._info)
-
     def iter_codes(self, block_rows: int = DEFAULT_BLOCK_ROWS):
         """Raw codes in bounded blocks via buffered reads, not ``mmap``.
 
@@ -372,20 +353,11 @@ class _MappedShard:
     def sq_norms(self) -> np.ndarray:
         if self._sq_norms is None:
             values = np.asarray(self.values, dtype=np.float64)
-            norms = np.einsum("ij,ij->i", values, values)
-            if self._bounds is None:
-                self._bounds = (
-                    (float(norms.min()), float(norms.max()))
-                    if norms.size
-                    else (np.inf, -np.inf)
-                )
-            self._sq_norms = norms
+            self._sq_norms = np.einsum("ij,ij->i", values, values)
         return self._sq_norms
 
     def norm_bounds(self) -> tuple[float, float]:
-        if self._bounds is None:
-            self.sq_norms  # format-1 fallback: one pass, cached thereafter
-        return self._bounds
+        return self._info.sq_norm_bounds  # recorded at write time
 
 
 class ShardView:
@@ -428,11 +400,6 @@ class ShardView:
     def values(self) -> np.ndarray:
         return self._shard.values[: self.size]
 
-    @property
-    def codes(self) -> np.ndarray:
-        """The view's rows in raw storage form (no decode; save path)."""
-        return self._shard.codes[: self.size]
-
     def iter_codes(self, block_rows: int = DEFAULT_BLOCK_ROWS):
         """The view's raw codes in bounded row blocks (tombstones included).
 
@@ -449,6 +416,10 @@ class ShardView:
             take = min(block.shape[0], remaining)
             yield block[:take]
             remaining -= take
+
+    def decode(self, codes: np.ndarray) -> np.ndarray:
+        """Raw codes of this view's shard as the float64 rows they scan as."""
+        return np.asarray(self.storage.decode(codes, self.scale), dtype=np.float64)
 
     @property
     def storage(self) -> StorageSpec:
@@ -840,11 +811,11 @@ class ShardedSketchStore:
 
         Tombstoned rows are physically dropped here, labels included
         (their budget stays spent — see the module docstring), and the
-        store's :attr:`generation` is bumped.  Rows stream through in
-        bounded blocks — on an mmap-loaded store nothing larger than a
-        block is ever read at once, so compacting a store bigger than
-        RAM is fine.  For a disk-to-disk rewrite that never loads the
-        store at all, use
+        store's :attr:`generation` is bumped.  Rows stream through the
+        same pass as :func:`rewrite_store`, in bounded blocks — on an
+        mmap-loaded store nothing larger than a block is ever read at
+        once, so compacting a store bigger than RAM is fine.  For a
+        disk-to-disk rewrite that never loads the store at all, use
         :func:`repro.serving.maintenance.compact_store`.
 
         ``routing`` builds a centroid routing table along the way
@@ -864,57 +835,27 @@ class ShardedSketchStore:
         """
         if storage is not None:
             self.storage = StorageSpec.parse(storage)
-        views = self.snapshot()
-        old_labels = self._labels
-        clusters = self._cluster_count(routing, views)
+        sources = [(self.snapshot(), self._labels)]
+        clusters = _cluster_count(routing, self.live_row_count, self.shard_capacity)
         self._shards = []
         self._labels = []
         self._tombstones = set()
         self._routing = None
         self.generation += 1
-        if clusters is None:
-            for block, labels in _iter_live_decoded(views, old_labels):
-                self._labels.extend(labels)
-                self._fill(block)
-            return self
-        centroids = kmeans_centroids(
-            _sample_live(views), clusters, seed=routing_seed
-        )
-        # one streaming pass per cluster: assignment is recomputed per
-        # block (deterministic, so every pass agrees) instead of being
-        # materialised, keeping peak memory at O(block) even here
-        for j in range(centroids.shape[0]):
-            filled_before = len(self._labels)
-            for block, labels in _iter_live_decoded(views, old_labels):
-                member = assign_rows(block, centroids) == j
-                if member.any():
-                    self._labels.extend(
-                        [labels[i] for i in np.flatnonzero(member)]
-                    )
-                    self._fill(block[member])
-            if len(self._labels) > filled_before:
-                self._seal_tail()  # shard boundaries align with clusters
-        self._routing = build_shard_routing(
-            [shard.values for shard in self._shards],
-            generation=self.generation,
-            n_clusters=int(centroids.shape[0]),
-            seed=routing_seed,
-        )
+        n_clusters = _rewrite(sources, self._take, self._seal_tail, clusters, routing_seed)
+        if n_clusters is not None:
+            self._routing = build_shard_routing(
+                self.snapshot(),
+                generation=self.generation,
+                n_clusters=n_clusters,
+                seed=routing_seed,
+            )
         return self
 
-    def _cluster_count(self, routing, views) -> int | None:
-        """Resolve the ``routing`` argument of :meth:`compact`."""
-        if routing is None or routing is False:
-            return None
-        live = sum(view.live_size for view in views)
-        if live == 0:
-            raise ValueError("cannot build routing over an empty store")
-        if routing is True:
-            return default_cluster_count(live, self.shard_capacity)
-        clusters = int(routing)
-        if clusters < 1:
-            raise ValueError(f"routing cluster count must be >= 1, got {clusters}")
-        return clusters
+    def _take(self, codes: np.ndarray, view: ShardView, labels: list) -> None:
+        """The in-memory rewrite sink: live rows land through :meth:`_fill`."""
+        self._labels.extend(labels)
+        self._fill(view.decode(codes))
 
     def _seal_tail(self) -> None:
         """Seal the tail shard so the next fill opens a fresh one.
@@ -953,78 +894,30 @@ class ShardedSketchStore:
         """
         if not stores:
             raise ValueError("merge needs at least one store")
-        specs = sorted({s.storage.name for s in stores if s._template is not None})
-        if storage is None:
-            if len(specs) > 1:
-                raise ValueError(
-                    f"cannot merge stores with different storage specs "
-                    f"({', '.join(specs)}): their error envelopes differ; pass "
-                    f"storage=... to re-encode the merged store into one spec"
-                )
-            storage = specs[0] if specs else stores[0].storage
-        capacity = (
-            max(store.shard_capacity for store in stores)
-            if shard_capacity is None
-            else shard_capacity
-        )
-        merged = cls(shard_capacity=capacity, storage=storage)
-        for store in stores:
-            if store._template is None:
-                continue
-            if merged._template is None:
-                merged._template = store._template
-            else:
-                estimators.check_compatible(merged._template, store._template)
-            for view in store.snapshot():
-                labels = store._labels[view.start : view.start + view.size]
-                if view.dead is not None:
-                    keep = np.delete(np.arange(view.size), view.dead)
-                    labels = [labels[i] for i in keep]
-                merged._labels.extend(labels)
-                offset = 0
-                for block in view.iter_codes():
-                    n = block.shape[0]
-                    if view.dead is not None:
-                        block = _drop_dead(block, offset, view.dead)
-                    offset += n
-                    if block.shape[0]:
-                        merged._fill(
-                            np.asarray(
-                                view.storage.decode(block, view.scale),
-                                dtype=np.float64,
-                            )
-                        )
+        spec, capacity, template = _merge_plan(stores, storage, shard_capacity)
+        merged = cls(shard_capacity=capacity, storage=spec)
+        merged._template = template
+        sources = [(store.snapshot(), store._labels) for store in stores]
+        _rewrite(sources, merged._take, merged._seal_tail, None, 0)
         return merged
 
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str | os.PathLike) -> None:
-        """Persist the store into directory ``path``, atomically.
+        """Persist the store into directory ``path`` as its next generation.
 
-        One versioned binary blob per shard plus a manifest, written
-        into a temporary sibling directory that is swapped into place
-        only once complete — a crash mid-save leaves an existing store
-        untouched, and overwriting a store that previously had more
-        shards leaves no stale shard files behind.  Labels are stored
-        with their types (typed JSON encoding in the shard headers);
-        default positional labels are elided and regenerated on load.
-        Quantised shards persist their exact storage codes and per-shard
-        scales, so save/load/mmap round trips are bit-identical at every
-        precision.
+        One v3 blob per shard streams into a staging directory that
+        becomes ``gen-NNNNN``, then the manifest is replaced atomically
+        (:func:`~repro.serving.serialization.publish`): a crash leaves an
+        existing store untouched, and every save raises the directory's
+        generation, so a watching server picks it up.  Labels keep their
+        types (default positional labels are elided and regenerated on
+        load); quantised shards keep their exact codes and scales, so
+        round trips are bit-identical at every precision.
 
-        The guarantee is *no corruption*, not full atomicity: a plain
-        ``os.replace`` cannot exchange two directories, so there is a
-        tiny window (between the two renames in the swap) in which a
-        hard crash leaves ``path`` absent while the previous store sits
-        intact at a hidden ``.<name>.retired-<pid>`` sibling — recover
-        it with a rename; nothing is ever partially overwritten.
-
-        Saving over a directory counts as *writing that directory's
-        store*: other handles that mmap-loaded it and have not yet
-        touched all their shards would map the replacement's bytes at
-        stale offsets.  Re-``load`` such readers after the save.
-        (Saving a store over its *own* source directory is safe — the
-        write materialises every one of its shards first.)
+        The replaced generation stays on disk: handles that mmap-loaded
+        it (this store included) keep answering from its files until
+        the next publish prunes it — re-``load`` readers before then.
 
         A store with zero rows cannot be saved — there would be no
         shard to carry the metadata, so the round trip could not be
@@ -1032,65 +925,36 @@ class ShardedSketchStore:
         """
         if not len(self):
             raise ValueError("cannot save an empty store")
-        root = Path(path)
-        root.parent.mkdir(parents=True, exist_ok=True)
-        staging = root.with_name(f".{root.name}.saving-{os.getpid()}")
-        if staging.exists():
-            shutil.rmtree(staging)
-        staging.mkdir(parents=True)
-        try:
-            views = self.snapshot()
-            offset = 0
-            for i, view in enumerate(views):
-                labels = tuple(self._labels[offset : offset + view.size])
-                if _is_positional(labels, offset):
-                    # default positional labels regenerate on load from the
-                    # row offsets alone; dropping them keeps big-store
-                    # headers small (and load-time parsing cheap)
-                    labels = ()
-                offset += view.size
-                # the shard's exact storage codes are written verbatim, so
-                # quantised stores round-trip bit-identically; the batch
-                # carries the decoded rows for the header's norm bounds
-                write_batch(
-                    staging / _SHARD_PATTERN.format(i),
-                    _with_values(self._template, view.values, labels),
-                    storage=view.storage,
-                    encoded=view.codes,
-                    scale=view.scale,
-                )
-            manifest = {
-                "manifest_version": _MANIFEST_VERSION,
-                "shard_capacity": self.shard_capacity,
-                "n_shards": len(views),
-                "n_rows": offset,
-                "storage": self.storage.name,
-                "config_digest": self._template.config_digest,
-                "generation": self.generation,
-            }
-            if self._tombstones:
-                manifest["tombstones"] = sorted(self._tombstones)
-            routing = self.routing  # the property: fresh-layout or None
-            if routing is not None:
-                digest = write_routing_blob(
-                    staging / ROUTING_BLOB_NAME,
-                    routing.to_payload(),
-                    routing.centroids,
-                    routing.radii,
-                )
-                manifest["routing"] = {
-                    "file": ROUTING_BLOB_NAME,
-                    "sha256": digest,
-                    "n_clusters": routing.n_clusters,
-                    "generation": routing.generation,
-                }
-            (staging / _MANIFEST_NAME).write_text(
-                json.dumps(manifest, indent=2, sort_keys=True)
-            )
-            _swap_into_place(staging, root)
-        except BaseException:
-            shutil.rmtree(staging, ignore_errors=True)
-            raise
+        publish(path, self.generation, self._write_generation)
+
+    def _write_generation(self, directory: Path, generation: int) -> dict:
+        """Stream every shard into ``directory``; the manifest facts."""
+        views = self.snapshot()
+        for i, view in enumerate(views):
+            labels = self._labels[view.start : view.start + view.size]
+            if _is_positional(labels, view.start):
+                # default positional labels regenerate on load from the
+                # row offsets alone; dropping them keeps big-store
+                # headers small (and load-time parsing cheap)
+                labels = ()
+            with StreamingBatchWriter(
+                directory / SHARD_PATTERN.format(i),
+                self._template,
+                storage=view.storage,
+                scale=view.scale,
+            ) as writer:
+                for block in view.iter_codes():
+                    writer.append(block, labels[: block.shape[0]])
+                    labels = labels[block.shape[0] :]
+                writer.commit()
+        routing = self.routing  # the property: fresh-layout or None
+        facts = _manifest_facts(
+            self._template, self.storage, self.shard_capacity, len(views), len(self),
+            None if routing is None else _routing_entry(directory, routing),
+        )
+        if self._tombstones:
+            facts["tombstones"] = sorted(self._tombstones)
+        return facts
 
     @classmethod
     def load(cls, path: str | os.PathLike, *, mmap: bool = False) -> "ShardedSketchStore":
@@ -1101,11 +965,11 @@ class ShardedSketchStore:
         caches are computed on first touch, and the OS pages rows in
         and out on demand — stores larger than RAM stay queryable.  The
         trade-off: the per-shard values digests are only verified on
-        eager loads.  All container formats are readable — the current
-        version 3 (any storage spec), PR-3's version 2 and PR-2's
-        version 1 (format-1 labels come back as the strings that format
-        recorded).  The storage spec always comes from the manifest,
-        never from ``REPRO_STORE_DTYPE``.
+        eager loads (and by rewrites, which stream every block).  Shard
+        blobs must be container format 3; any other version fails with
+        a :class:`SerializationError` naming it.  The storage spec
+        always comes from the manifest, never from
+        ``REPRO_STORE_DTYPE``.
         """
         root = Path(path)
         manifest = read_manifest(root)
@@ -1113,8 +977,7 @@ class ShardedSketchStore:
             return cls._load_shards(root, manifest, mmap)
         except KeyError as exc:
             raise SerializationError(
-                f"manifest at {root / _MANIFEST_NAME} is missing required "
-                f"field {exc}"
+                f"manifest at {root} is missing required field {exc}"
             ) from exc
 
     @classmethod
@@ -1127,23 +990,22 @@ class ShardedSketchStore:
             shard_capacity=manifest["shard_capacity"],
             storage=manifest.get("storage", "f8"),
         )
-        # flat pre-generation layouts carry no shards_dir; generational
-        # manifests point at the gen-NNNNN sibling the shards live in
-        shard_dir = root / manifest.get("shards_dir", "")
+        directory = shard_dir(root, manifest)
         for i in range(manifest["n_shards"]):
-            shard_path = shard_dir / _SHARD_PATTERN.format(i)
+            shard_path = directory / SHARD_PATTERN.format(i)
             if mmap:
-                store._attach_mapped(read_batch_info(shard_path))
+                store._attach(read_batch_info(shard_path))
             else:
-                store._attach_eager(*read_batch_raw(shard_path))
+                store._attach(*read_batch_raw(shard_path))
         store.generation = int(manifest.get("generation", 0))
         tombstones = manifest.get("tombstones", ())
         if tombstones:
-            bad = [t for t in tombstones if not 0 <= int(t) < len(store)]
+            rows = len(store)  # compact_store loads every source: keep this linear
+            bad = [t for t in tombstones if not 0 <= int(t) < rows]
             if bad:
                 raise SerializationError(
                     f"manifest at {root} tombstones rows {bad} outside the "
-                    f"store's {len(store)} rows"
+                    f"store's {rows} rows"
                 )
             store._tombstones = {int(t) for t in tombstones}
         if len(store) != manifest["n_rows"]:
@@ -1163,7 +1025,7 @@ class ShardedSketchStore:
         routing_entry = manifest.get("routing")
         if routing_entry is not None:
             payload, centroids, radii = read_routing_blob(
-                shard_dir / routing_entry.get("file", ROUTING_BLOB_NAME),
+                directory / routing_entry.get("file", ROUTING_BLOB_NAME),
                 routing_entry.get("sha256"),
             )
             routing = ShardRouting.from_payload(payload, centroids, radii)
@@ -1176,8 +1038,13 @@ class ShardedSketchStore:
             store._routing = routing
         return store
 
-    def _pin_stored_shard(self, info: BatchInfo) -> None:
-        """Shared load-path validation: metadata and storage must match."""
+    def _attach(self, info: BatchInfo, raw: np.ndarray | None = None) -> None:
+        """Attach one stored shard: lazily mapped, or from its raw codes.
+
+        Eager codes land in the buffer verbatim — no decode/re-encode
+        round trip, so quantised stores reload bit-identically — and
+        the tail shard stays appendable up to the store's capacity.
+        """
         if info.storage != self.storage.name:
             raise SerializationError(
                 f"shard at {info.path} stores {info.storage} values, the store's "
@@ -1189,104 +1056,27 @@ class ShardedSketchStore:
             self._template = info.meta
         else:
             estimators.check_compatible(self._template, info.meta)
-
-    def _attach_mapped(self, info: BatchInfo) -> None:
-        """Attach one stored shard as a lazy memory-mapped shard."""
-        self._pin_stored_shard(info)
-        if info.n_rows:
-            start = len(self._labels)
-            self._labels.extend(
-                info.labels or range(start, start + info.n_rows)
-            )
+        if not info.n_rows:
+            return
+        start = len(self._labels)
+        self._labels.extend(info.labels or range(start, start + info.n_rows))
+        if raw is None:
             self._shards.append(_MappedShard(info))
-
-    def _attach_eager(self, info: BatchInfo, raw: np.ndarray) -> None:
-        """Attach one stored shard's raw codes as an in-memory shard.
-
-        The codes land in the buffer verbatim — no decode/re-encode
-        round trip, so quantised stores reload bit-identically — and
-        the tail shard stays appendable up to the store's capacity.
-        """
-        self._pin_stored_shard(info)
-        if info.n_rows:
-            start = len(self._labels)
-            self._labels.extend(info.labels or range(start, start + info.n_rows))
-            shard = _Shard(
-                max(self.shard_capacity, info.n_rows),
-                info.meta.output_dim,
-                self.storage,
-                initial_rows=info.n_rows,
-            )
-            shard.adopt(raw, info.scale)
-            self._shards.append(shard)
-
-
-def read_manifest(path: str | os.PathLike) -> dict:
-    """Read and validate a store directory's ``manifest.json``.
-
-    The shared parsing step of :meth:`ShardedSketchStore.load`, the
-    maintenance layer and the server's generation watcher — all three
-    must agree on what a well-formed manifest is.  Raises
-    ``FileNotFoundError`` when no manifest exists and
-    :class:`SerializationError` for junk or an unsupported version.
-    """
-    manifest_path = Path(path) / _MANIFEST_NAME
-    if not manifest_path.exists():
-        raise FileNotFoundError(f"no store manifest at {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SerializationError(
-            f"manifest at {manifest_path} is not valid JSON: {exc}"
-        ) from exc
-    if manifest.get("manifest_version") not in _SUPPORTED_MANIFEST_VERSIONS:
-        raise SerializationError(
-            f"unsupported manifest version {manifest.get('manifest_version')!r}"
+            return
+        shard = _Shard(
+            max(self.shard_capacity, info.n_rows),
+            info.meta.output_dim,
+            self.storage,
+            initial_rows=info.n_rows,
         )
-    return manifest
+        shard.adopt(raw, info.scale)
+        self._shards.append(shard)
 
 
-def _drop_dead(block: np.ndarray, offset: int, dead: np.ndarray) -> np.ndarray:
-    """``block`` (a view's rows ``[offset, offset + n)``) minus tombstones.
-
-    ``dead`` is the view's sorted local tombstone array; membership is
-    resolved by binary search so a block touching no tombstones costs
-    O(n log d), not O(n * d).
-    """
-    local = np.arange(offset, offset + block.shape[0])
-    hit = np.searchsorted(dead, local)
-    dead_here = (hit < dead.size) & (
-        dead[np.minimum(hit, dead.size - 1)] == local
-    )
-    return block[~dead_here]
-
-
-def _iter_live_decoded(views: list[ShardView], labels: list):
-    """Live rows of ``views`` as ``(float64 block, labels)`` pairs.
-
-    The shared streaming front end of :meth:`ShardedSketchStore.compact`:
-    blocks arrive decoded to float64 with tombstoned rows dropped and
-    each surviving row's label alongside, bounded by the block size —
-    nothing store-sized is ever materialised.
-    """
-    for view in views:
-        view_labels = labels[view.start : view.start + view.size]
-        offset = 0
-        for block in view.iter_codes():
-            n = block.shape[0]
-            block_labels = view_labels[offset:offset + n]
-            if view.dead is not None:
-                keep = _block_live(offset, n, view.dead)
-                block = block[keep]
-                block_labels = [block_labels[i] for i in keep]
-            offset += n
-            if block.shape[0]:
-                yield (
-                    np.asarray(
-                        view.storage.decode(block, view.scale), dtype=np.float64
-                    ),
-                    block_labels,
-                )
+# -- the one rewrite pass ------------------------------------------------------
+# compact, merge, compact_store and merge_stores all stream the live rows of
+# (snapshot views, label list) sources into a sink: a store's own _fill, or
+# a _ShardRoller writing shard files.
 
 
 def _block_live(offset: int, n: int, dead: np.ndarray) -> np.ndarray:
@@ -1297,28 +1087,240 @@ def _block_live(offset: int, n: int, dead: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~dead_here)
 
 
-def _sample_live(
-    views: list[ShardView], target: int = DEFAULT_TRAIN_SAMPLE
-) -> np.ndarray:
-    """A deterministic stride sample of the live rows, for k-means.
+def _iter_live(sources, block_rows: int):
+    """Live rows of ``sources`` as undecoded ``(codes, view, labels)`` blocks."""
+    for views, labels in sources:
+        for view in views:
+            view_labels = labels[view.start : view.start + view.size]
+            offset = 0
+            for block in view.iter_codes(block_rows):
+                n = block.shape[0]
+                block_labels = view_labels[offset : offset + n]
+                if view.dead is not None:
+                    keep = _block_live(offset, n, view.dead)
+                    block = block[keep]
+                    block_labels = [block_labels[i] for i in keep]
+                offset += n
+                if block.shape[0]:
+                    yield block, view, block_labels
 
-    Every ``step``-th live row (step chosen so roughly ``target`` rows
-    come back) — spread across the whole store, no randomness, so
-    repeated compactions of the same store train on the same sample.
+
+def _sample_live(sources, block_rows: int, target: int = DEFAULT_TRAIN_SAMPLE) -> np.ndarray:
+    """Every ``step``-th live row, about ``target`` of them: k-means input.
+
+    No randomness, so repeated rewrites of the same rows train alike.
     """
-    total = sum(view.live_size for view in views)
+    total = sum(view.live_size for views, _ in sources for view in views)
     step = max(1, total // max(target, 1))
     sample, seen = [], 0
-    for block, _ in _iter_live_decoded(views, [None] * sum(v.size for v in views)):
-        idx = np.arange(seen, seen + block.shape[0])
-        take = block[idx % step == 0]
-        if take.shape[0]:
-            sample.append(take)
-        seen += block.shape[0]
+    for codes, view, _ in _iter_live(sources, block_rows):
+        rows = view.decode(codes)
+        sample.append(rows[np.arange(seen, seen + rows.shape[0]) % step == 0])
+        seen += rows.shape[0]
     return np.concatenate(sample)
 
 
-def _is_positional(labels: tuple, start: int) -> bool:
+def _cluster_count(routing, live_rows: int, capacity: int) -> int | None:
+    """Resolve the ``routing`` argument of the rewrites (``None``: unclustered)."""
+    if routing is None or routing is False:
+        return None
+    if live_rows == 0:
+        raise ValueError("cannot build routing over an empty store")
+    if routing is True:
+        return default_cluster_count(live_rows, capacity)
+    clusters = int(routing)
+    if clusters < 1:
+        raise ValueError(f"routing cluster count must be >= 1, got {clusters}")
+    return clusters
+
+
+def _rewrite(sources, append, seal, clusters: int | None, seed: int,
+             block_rows: int = DEFAULT_BLOCK_ROWS) -> int | None:
+    """Feed every live row of ``sources`` to ``append(codes, view, labels)``.
+
+    With ``clusters``, one pass per k-means cluster, ``seal()`` ending a
+    shard at each boundary; returns the clusters used (else ``None``).
+    """
+    if clusters is None:
+        for codes, view, labels in _iter_live(sources, block_rows):
+            append(codes, view, labels)
+        return None
+    centroids = kmeans_centroids(_sample_live(sources, block_rows), clusters, seed=seed)
+    for j in range(centroids.shape[0]):
+        for codes, view, labels in _iter_live(sources, block_rows):
+            member = np.flatnonzero(assign_rows(view.decode(codes), centroids) == j)
+            if member.size:
+                append(codes[member], view, [labels[i] for i in member])
+        seal()
+    return int(centroids.shape[0])
+
+
+def _merge_plan(stores, storage, shard_capacity):
+    """``(spec, capacity, template)`` of a merge: one spec, one configuration."""
+    filled = [store for store in stores if store.metadata is not None]
+    if storage is None:
+        specs = sorted({store.storage.name for store in filled})
+        if len(specs) > 1:
+            raise ValueError(
+                f"cannot merge stores with different storage specs "
+                f"({', '.join(specs)}): their error envelopes differ; pass "
+                f"storage=... to re-encode the merged store into one spec"
+            )
+        storage = specs[0] if specs else stores[0].storage
+    template = filled[0].metadata if filled else None
+    for store in filled[1:]:
+        estimators.check_compatible(template, store.metadata)
+    if shard_capacity is None:
+        shard_capacity = max(store.shard_capacity for store in stores)
+    return StorageSpec.parse(storage), shard_capacity, template
+
+
+class _ShardRoller:
+    """The disk sink: rolls blocks into capacity-sized shard files.
+
+    Same-spec float codes pass through verbatim (surviving rows stay
+    bit-identical on disk); everything else re-encodes with ``scale``.
+    """
+
+    def __init__(self, directory, template, spec, scale, capacity, keep_labels):
+        self._directory = Path(directory)
+        self._template = template
+        self._spec = spec
+        self._scale = scale
+        self._capacity = capacity
+        self._keep_labels = keep_labels
+        self._writer: StreamingBatchWriter | None = None
+        self.paths: list[Path] = []
+        self.n_rows = 0
+
+    def append(self, codes: np.ndarray, view: ShardView, labels: list) -> None:
+        if view.storage.name != self._spec.name or self._spec.quantised:
+            codes = self._spec.encode(view.decode(codes), self._scale)
+        while codes.shape[0]:
+            if self._writer is None:
+                self._open()
+            take = min(self._capacity - self._writer.n_rows, codes.shape[0])
+            self._writer.append(codes[:take], labels[:take] if self._keep_labels else ())
+            codes, labels = codes[take:], labels[take:]
+            self.n_rows += take
+            if self._writer.n_rows == self._capacity:
+                self.seal()
+
+    def _open(self) -> None:
+        self.paths.append(self._directory / SHARD_PATTERN.format(len(self.paths)))
+        self._writer = StreamingBatchWriter(
+            self.paths[-1], self._template, storage=self._spec, scale=self._scale
+        )
+
+    def seal(self) -> None:
+        if self._writer is not None:
+            self._writer.commit()
+            self._writer = None
+
+    def finish(self) -> None:
+        if not self.paths:  # a zero-row shard still carries the metadata
+            self._open()
+        self.seal()
+
+    def abort(self) -> None:
+        if self._writer is not None:
+            self._writer.abort()
+            self._writer = None
+
+    def views(self) -> list[ShardView]:
+        views, start = [], 0
+        for path in self.paths:
+            info = read_batch_info(path)
+            views.append(ShardView(start, info.n_rows, _MappedShard(info)))
+            start += info.n_rows
+        return views
+
+
+def rewrite_store(
+    directory: str | os.PathLike,
+    stores,
+    *,
+    storage: StorageSpec | str | None = None,
+    shard_capacity: int | None = None,
+    routing: bool | int | None = None,
+    routing_seed: int = 0,
+    generation: int = 0,
+    block_rows: int = DEFAULT_BLOCK_ROWS,
+) -> dict:
+    """Stream the live rows of ``stores`` into shard files in ``directory``.
+
+    The disk form of ``compact``/``merge``, O(``block_rows``) memory over
+    ``load(mmap=True)`` inputs.  ``int8`` uses one global scale from an
+    extra read pass.  Returns the manifest's store facts.
+    """
+    spec, capacity, template = _merge_plan(stores, storage, shard_capacity)
+    sources = [(store.snapshot(), store._labels) for store in stores]
+    clusters = _cluster_count(
+        routing, sum(store.live_row_count for store in stores), capacity
+    )
+    scale = None
+    if spec.quantised:
+        peak = 0.0
+        for codes, view, _ in _iter_live(sources, block_rows):
+            block_peak = float(np.max(np.abs(view.decode(codes))))
+            if not np.isfinite(block_peak):
+                raise ValueError("int8 storage requires finite sketch values")
+            peak = max(peak, block_peak)
+        scale = StorageSpec.int8_step(peak)
+    keep_labels, start = clusters is not None, 0
+    for store in stores:
+        keep_labels = keep_labels or bool(store._tombstones) or not _is_positional(
+            store._labels, start
+        )
+        start += len(store)
+    roller = _ShardRoller(directory, template, spec, scale, capacity, keep_labels)
+    try:
+        n_clusters = _rewrite(
+            sources, roller.append, roller.seal, clusters, routing_seed, block_rows
+        )
+        roller.finish()
+    except BaseException:
+        roller.abort()
+        raise
+    table = None
+    if n_clusters is not None:
+        table = build_shard_routing(
+            roller.views(), generation=generation, n_clusters=n_clusters, seed=routing_seed
+        )
+    return _manifest_facts(
+        template, spec, capacity, len(roller.paths), roller.n_rows,
+        None if table is None else _routing_entry(directory, table),
+    )
+
+
+def _manifest_facts(template, spec, capacity, n_shards, n_rows, routing_entry) -> dict:
+    """The manifest fields a store owns; ``publish`` adds the layout ones."""
+    facts = {
+        "shard_capacity": capacity,
+        "n_shards": n_shards,
+        "n_rows": n_rows,
+        "storage": spec.name,
+        "config_digest": template.config_digest,
+    }
+    if routing_entry is not None:
+        facts["routing"] = routing_entry
+    return facts
+
+
+def _routing_entry(directory, table: ShardRouting) -> dict:
+    """Write ``table`` next to its shards; its manifest ``routing`` entry."""
+    digest = write_routing_blob(
+        Path(directory) / ROUTING_BLOB_NAME, table.to_payload(), table.centroids, table.radii
+    )
+    return {
+        "file": ROUTING_BLOB_NAME,
+        "sha256": digest,
+        "n_clusters": table.n_clusters,
+        "generation": table.generation,
+    }
+
+
+def _is_positional(labels: list, start: int) -> bool:
     """Whether ``labels`` are exactly the default global positions.
 
     Such labels are not persisted: the loader regenerates them from row
@@ -1327,26 +1329,9 @@ def _is_positional(labels: tuple, start: int) -> bool:
     megabytes.  The type check keeps e.g. ``np.int64`` labels stored —
     they only *equal* the defaults, and must round-trip as written.
     """
-    return all(
-        type(label) is int and label == start + i for i, label in enumerate(labels)
+    return set(map(type, labels)) <= {int} and labels == list(
+        range(start, start + len(labels))
     )
-
-
-def _swap_into_place(staging: Path, root: Path) -> None:
-    """Atomically replace ``root`` with the fully written ``staging`` dir."""
-    if root.exists():
-        retired = root.with_name(f".{root.name}.retired-{os.getpid()}")
-        if retired.exists():
-            shutil.rmtree(retired)
-        os.replace(root, retired)
-        try:
-            os.replace(staging, root)
-        except BaseException:
-            os.replace(retired, root)  # roll the old store back
-            raise
-        shutil.rmtree(retired)
-    else:
-        os.replace(staging, root)
 
 
 def _as_template(release) -> SketchBatch:

@@ -5,15 +5,16 @@ The network frontend (:mod:`repro.serving.server` /
 for logging or replaying query workloads.  One envelope shape covers
 everything::
 
-    {"format": "repro.serving.wire", "version": 1,
+    {"format": "repro.serving.wire", "version": 2,
      "kind": "query" | "result" | "error", ...}
 
 * **Queries** carry their kind tag (``top_k`` / ``radius`` / ``cross``
   / ``pairwise`` / ``norms``) plus kind-specific parameters.  Released
-  sketch payloads are embedded as the *version-2 binary container* of
+  sketch payloads are embedded as the *version-3 binary container* of
   :mod:`repro.serving.serialization` (base64 inside the JSON), so the
   float64 values cross the wire bit-exactly and with their digests —
-  the JSON layer never touches a sketch value.
+  the JSON layer never touches a sketch value.  A container whose
+  header records a storage other than ``f8`` is rejected.
 * **Results** carry the payload in a shape that round-trips exactly:
   labels use the typed JSON encoding of
   :func:`~repro.serving.serialization.encode_label` (integer labels
@@ -31,13 +32,14 @@ Anything malformed — not JSON, wrong ``format`` tag, an unknown kind,
 a truncated embedded blob — raises :class:`WireError`.  A version
 other than :data:`WIRE_VERSION` is rejected up front: the envelope is
 versioned precisely so future revisions can evolve the schema without
-old peers misreading it.
+old peers misreading it (version 2 moved releases to container v3).
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
+import dataclasses
 import json
 import math
 
@@ -57,14 +59,14 @@ from repro.serving.queries import (
 )
 from repro.serving.serialization import (
     SerializationError,
-    batch_from_bytes,
+    batch_raw_from_bytes,
     batch_to_bytes,
     decode_label,
     encode_label,
 )
 
 WIRE_FORMAT = "repro.serving.wire"
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 
 
 class WireError(ValueError):
@@ -74,30 +76,15 @@ class WireError(ValueError):
 _QUERY_BY_KIND = {cls.kind: cls for cls in QUERY_TYPES}
 
 
-# -- releases (sketches / batches) ride as the v2 binary container -------------
+# -- releases (sketches / batches) ride as the v3 binary container -------------
 
 
 def _encode_release(release) -> dict:
-    # live query sketches always ride at full precision, pinned to the
-    # version-2 container (the "v2" key is a promise: a not-yet-upgraded
-    # peer must keep decoding our queries, and v3 buys an f8 payload
-    # nothing).  The explicit "storage" tag mirrors the container header
-    # so peers (and logs) see the payload dtype without parsing the
-    # blob; a future revision can ship pre-quantised payloads under a
-    # new tag value and container key.
     if isinstance(release, PrivateSketch):
         batch = SketchBatch.from_sketches([release])
-        return {
-            "as": "sketch",
-            "storage": "f8",
-            "v2": _b64(batch_to_bytes(batch, version=2)),
-        }
+        return {"as": "sketch", "v3": _b64(batch_to_bytes(batch))}
     if isinstance(release, SketchBatch):
-        return {
-            "as": "batch",
-            "storage": "f8",
-            "v2": _b64(batch_to_bytes(release, version=2)),
-        }
+        return {"as": "batch", "v3": _b64(batch_to_bytes(release))}
     raise WireError(
         f"query payload must be a PrivateSketch or SketchBatch, "
         f"got {type(release).__name__}"
@@ -105,17 +92,21 @@ def _encode_release(release) -> dict:
 
 
 def _decode_release(encoded) -> object:
-    if not isinstance(encoded, dict) or "v2" not in encoded:
-        raise WireError("release payload must be an object with a 'v2' blob")
-    if encoded.get("storage", "f8") != "f8":
-        raise WireError(
-            f"this build only decodes f8 sketch payloads, "
-            f"got storage {encoded.get('storage')!r}"
-        )
+    if not isinstance(encoded, dict) or "v3" not in encoded:
+        raise WireError("release payload must be an object with a 'v3' blob")
     try:
-        batch = batch_from_bytes(_unb64(encoded["v2"]))
+        info, raw = batch_raw_from_bytes(_unb64(encoded["v3"]))
     except SerializationError as exc:
         raise WireError(f"embedded sketch payload is invalid: {exc}") from exc
+    # the container header, not any envelope field, says what the values
+    # are: rounded f4/f2/int8 values are not the released sketch
+    if info.storage != "f8":
+        raise WireError(
+            f"this build only decodes f8 sketch payloads, got storage {info.storage!r}"
+        )
+    batch = dataclasses.replace(
+        info.meta, values=raw.astype(np.float64), labels=info.labels
+    )
     if encoded.get("as") == "sketch":
         if len(batch) != 1:
             raise WireError(
@@ -206,8 +197,6 @@ def _query_body(query) -> dict:
     if isinstance(query, TopKQuery):
         body = {"k": query.k, "release": _encode_release(query.queries)}
         if query.routing is not None:
-            # omitted when None so pre-routing peers parse the envelope
-            # unchanged; WIRE_VERSION stays 1
             body["routing"] = {"nprobe": query.routing.nprobe}
         return body
     if isinstance(query, RadiusQuery):

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.serving import CrossQuery, RadiusQuery, TopKQuery
+from repro.serving.serialization import SHARD_PATTERN, read_manifest, shard_dir
 from repro.transforms import create_transform
+
+
+def shard_file(root, i=0):
+    """Path of shard ``i`` of the saved store at ``root``, via its manifest."""
+    return shard_dir(root, read_manifest(root)) / SHARD_PATTERN.format(i)
 
 
 # -- typed-query-plane wrappers (shared by the serving test modules) ----------

@@ -1,6 +1,7 @@
 """LSM maintenance: generational compaction, crash safety, policy, maintainer.
 
-The disk-to-disk layer of PR 7.  ``compact_store`` must publish each
+The disk-to-disk layer.  ``compact_store`` — like ``save`` and
+``merge_stores``, which share its publish protocol — must publish each
 rewrite as a numbered ``gen-NNNNN`` generation with the manifest as the
 single source of truth — so a crash at *any* point (including a SIGKILL
 mid-stream, injected here via a subprocess that ``os._exit``-s inside
@@ -30,8 +31,8 @@ from repro.serving import (
     compact_store,
     merge_stores,
 )
-from repro.serving import maintenance as maintenance_module
-from tests.helpers import scan_jitter_atol
+from repro.serving import serialization
+from tests.helpers import scan_jitter_atol, shard_file
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=5)
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -56,6 +57,15 @@ def _saved_store(tmp_path, n=11, shard_capacity=4, labelled=True, name="store"):
     return root, store, sk
 
 
+#: every writer that publishes into an existing store directory, given
+#: that directory and a second saved store ``(other_root, other_store)``
+_PUBLISHERS = {
+    "compact_store": lambda root, other: compact_store(root),
+    "save": lambda root, other: other[1].save(root),
+    "merge_stores": lambda root, other: merge_stores(other[0], dest=root),
+}
+
+
 def _manifest(root):
     return json.loads((root / "manifest.json").read_text())
 
@@ -69,19 +79,19 @@ class TestCompactStore:
     def test_publishes_a_generation_and_drops_tombstones(self, tmp_path):
         root, store, sk = _saved_store(tmp_path)
         store.delete(["row-2", "row-9"])
-        store.save(root)
+        store.save(root)  # the re-save is generation 1
         summary = compact_store(root)
-        assert summary["generation"] == 1
+        assert summary["generation"] == 2
         assert summary["rows"] == 9
         assert summary["tombstones_dropped"] == 2
         assert summary["shards"] == 3  # ceil(9 / 4)
         assert summary["storage"] == "f8"
         manifest = _manifest(root)
-        assert manifest["generation"] == 1
-        assert manifest["shards_dir"] == "gen-00001"
-        assert (root / "gen-00001" / "shard-00000.skb").exists()
+        assert manifest["generation"] == 2
+        assert manifest["shards_dir"] == "gen-00002"
+        assert (root / "gen-00002" / "shard-00000.skb").exists()
         loaded = ShardedSketchStore.load(root, mmap=True)
-        assert loaded.generation == 1
+        assert loaded.generation == 2
         assert loaded.tombstones == ()
         assert list(loaded.labels) == [
             f"row-{i}" for i in range(11) if i not in (2, 9)
@@ -109,12 +119,10 @@ class TestCompactStore:
         # stream through verbatim, so the new generation's shard files
         # are byte-for-byte the old ones — the live-swap guarantee
         root, store, sk = _saved_store(tmp_path, n=8, shard_capacity=4)
-        old = [(root / f"shard-{i:05d}.skb").read_bytes() for i in range(2)]
+        old = [shard_file(root, i).read_bytes() for i in range(2)]
         compact_store(root)
-        new = [
-            (root / "gen-00001" / f"shard-{i:05d}.skb").read_bytes()
-            for i in range(2)
-        ]
+        new = [shard_file(root, i).read_bytes() for i in range(2)]
+        assert _manifest(root)["shards_dir"] == "gen-00001"
         assert new == old
 
     def test_exact_capacity_store_gets_no_empty_tail_shard(self, tmp_path):
@@ -153,14 +161,17 @@ class TestCompactStore:
 
     def test_successive_generations_prune_old_ones(self, tmp_path):
         root, store, sk = _saved_store(tmp_path)
+        assert _manifest(root)["shards_dir"] == "gen-00000"
         compact_store(root)
-        # first compact keeps the flat (pre-generational) shards: they
-        # are the previous generation readers may still be attached to
-        assert list(root.glob("shard-*.skb"))
+        # first compact keeps the saved generation: it is the previous
+        # generation readers may still be attached to
+        assert sorted(p.name for p in root.glob("gen-*")) == [
+            "gen-00000",
+            "gen-00001",
+        ]
         second = compact_store(root)
-        # now the flat files are two generations stale — pruned
-        assert not list(root.glob("shard-*.skb"))
-        assert any(name.startswith("shard-") for name in second["pruned"])
+        # now the saved generation is two generations stale — pruned
+        assert "gen-00000" in second["pruned"]
         assert sorted(p.name for p in root.glob("gen-*")) == [
             "gen-00001",
             "gen-00002",
@@ -172,6 +183,24 @@ class TestCompactStore:
             "gen-00003",
         ]
         assert ShardedSketchStore.load(root).generation == 3
+
+    def test_a_flat_store_is_pruned_once_two_generations_stale(self, tmp_path):
+        # stores saved before generations existed keep their shards next
+        # to a manifest without ``shards_dir``; they load, and their flat
+        # files are the previous generation of the first publish
+        root, *_ = _saved_store(tmp_path)
+        manifest = _manifest(root)
+        for shard in (root / manifest.pop("shards_dir")).iterdir():
+            shard.rename(root / shard.name)
+        (root / "gen-00000").rmdir()
+        serialization.write_manifest(root, manifest)
+        assert len(ShardedSketchStore.load(root, mmap=True)) == 11
+        compact_store(root)
+        assert list(root.glob("shard-*.skb"))
+        second = compact_store(root)
+        assert not list(root.glob("shard-*.skb"))
+        assert any(name.startswith("shard-") for name in second["pruned"])
+        assert len(ShardedSketchStore.load(root)) == 11
 
 
 class TestCrashSafety:
@@ -221,19 +250,21 @@ class TestCrashSafety:
         assert not list(root.glob(".gen-*.staging-*"))
         assert ShardedSketchStore.load(root).generation == 1
 
+    @pytest.mark.parametrize("writer", sorted(_PUBLISHERS))
     def test_crash_between_rename_and_publish_is_an_orphan(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, writer
     ):
         # the narrowest window: the generation directory landed but the
         # process died before the manifest replace
         root, store, sk = _saved_store(tmp_path)
+        other = _saved_store(tmp_path, n=5, name="other")
         monkeypatch.setattr(
-            maintenance_module,
-            "_publish_manifest",
+            serialization,
+            "write_manifest",
             lambda *a, **k: (_ for _ in ()).throw(RuntimeError("yanked")),
         )
         with pytest.raises(RuntimeError, match="yanked"):
-            compact_store(root)
+            _PUBLISHERS[writer](root, other)
         monkeypatch.undo()
         assert (root / "gen-00001").is_dir()  # published dir, unreferenced
         assert _manifest(root)["generation"] == 0
@@ -243,19 +274,23 @@ class TestCrashSafety:
         assert "gen-00001" in summary["pruned"]
         assert _manifest(root)["shards_dir"] == "gen-00001"
 
+    @pytest.mark.parametrize("writer", sorted(_PUBLISHERS))
     def test_exception_mid_stream_cleans_its_own_staging(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, writer
     ):
         root, store, sk = _saved_store(tmp_path)
+        other = _saved_store(tmp_path, n=5, name="other")
+        before = {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
         monkeypatch.setattr(
-            maintenance_module,
-            "_stream_shards",
+            serialization.StreamingBatchWriter,
+            "append",
             lambda *a, **k: (_ for _ in ()).throw(OSError("disk full")),
         )
         with pytest.raises(OSError, match="disk full"):
-            compact_store(root)
+            _PUBLISHERS[writer](root, other)
         assert not list(root.glob(".gen-*.staging-*"))
         assert _manifest(root)["generation"] == 0
+        assert {p: p.read_bytes() for p in root.rglob("*") if p.is_file()} == before
 
 
 class TestMergeStores:
@@ -273,7 +308,7 @@ class TestMergeStores:
         assert summary["storage"] == "f8"
         assert summary["sources"] == [str(tmp_path / "a"), str(tmp_path / "b")]
         merged = ShardedSketchStore.load(tmp_path / "m")
-        assert merged.generation == 0  # a fresh store, not a generation
+        assert merged.generation == 0  # a fresh directory starts at 0
         assert list(merged.labels) == [
             "a-0", "a-1", "a-2", "a-4", "a-5",
             "b-0", "b-1", "b-2", "b-3", "b-4",
@@ -300,14 +335,14 @@ class TestMergeStores:
     def test_crash_leaves_no_partial_dest(self, tmp_path, monkeypatch):
         root_a, *_ = _saved_store(tmp_path, name="a")
         monkeypatch.setattr(
-            maintenance_module,
-            "_stream_shards",
+            serialization.StreamingBatchWriter,
+            "append",
             lambda *a, **k: (_ for _ in ()).throw(OSError("boom")),
         )
         with pytest.raises(OSError, match="boom"):
             merge_stores(root_a, dest=tmp_path / "m")
+        # a failed first publish removes the directory it created
         assert not (tmp_path / "m").exists()
-        assert not list(tmp_path.glob(".m.saving-*"))
 
 
 class TestMaintenancePolicy:
@@ -404,7 +439,7 @@ class TestStoreMaintainer:
             while not maintainer.history and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert maintainer.history, "maintainer never compacted"
-        assert _manifest(root)["generation"] == 1
+        assert _manifest(root)["generation"] == 2  # save, re-save, compact
         assert maintainer.last_error is None
 
     def test_errors_are_recorded_and_the_loop_survives(self, tmp_path):

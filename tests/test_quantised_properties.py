@@ -267,9 +267,13 @@ class TestQuantisedRoundTripDeterminism:
             # byte: nothing re-rounds after the one quantisation
             resaved = Path(tmp) / "resaved"
             eager.save(resaved)
-            for blob in sorted(root.iterdir()):
-                assert (resaved / blob.name).read_bytes() == blob.read_bytes(), (
-                    f"{blob.name} drifted on a save/load/save round trip"
+            blobs = sorted(p.relative_to(root) for p in root.rglob("*") if p.is_file())
+            assert blobs == sorted(
+                p.relative_to(resaved) for p in resaved.rglob("*") if p.is_file()
+            )
+            for blob in blobs:
+                assert (resaved / blob).read_bytes() == (root / blob).read_bytes(), (
+                    f"{blob} drifted on a save/load/save round trip"
                 )
 
     def test_nan_and_inf_labels_survive_quantised_stores(self, tmp_path):

@@ -24,9 +24,9 @@ from repro.serving import (
     TopKQuery,
     wire,
 )
-from repro.serving.serialization import read_batch_info, write_batch
+from repro.serving.serialization import read_batch_info
 from repro.serving.storage import _STORAGE_ENV
-from tests.helpers import execute_top_k as _top_k
+from tests.helpers import execute_top_k as _top_k, shard_file
 
 _CONFIG = SketchConfig(input_dim=128, epsilon=8.0, output_dim=64, sparsity=4, seed=11)
 
@@ -206,7 +206,7 @@ class TestQuantisedPersistence:
             store = ShardedSketchStore(shard_capacity=32, storage=storage)
             store.add_batch(batch)
             store.save(tmp_path / storage)
-            info = read_batch_info(tmp_path / storage / "shard-00000.skb")
+            info = read_batch_info(shard_file(tmp_path / storage))
             assert info.storage == storage
             sizes[storage] = info.values_nbytes
         assert sizes["f8"] == 2 * sizes["f4"] == 8 * sizes["int8"]
@@ -230,41 +230,12 @@ class TestQuantisedPersistence:
             store = ShardedSketchStore(storage=storage)
             store.add_batch(batch)
             store.save(tmp_path / storage)
-        (tmp_path / "f8" / "shard-00000.skb").write_bytes(
-            (tmp_path / "f4" / "shard-00000.skb").read_bytes()
+        shard_file(tmp_path / "f8").write_bytes(
+            shard_file(tmp_path / "f4").read_bytes()
         )
         for mmap in (False, True):
             with pytest.raises(SerializationError, match="swapped"):
                 ShardedSketchStore.load(tmp_path / "f8", mmap=mmap)
-
-    def test_v2_store_still_loads(self, tmp_path):
-        # a store saved by the PR-3/PR-4 writer: v2 shard blobs + a
-        # manifest without a storage key — the migration path
-        sk = _sketcher()
-        batch = _batch(sk, 10, 5, labels=tuple(f"r{i}" for i in range(10)))
-        root = tmp_path / "legacy"
-        root.mkdir()
-        write_batch(root / "shard-00000.skb", batch[:6], version=2)
-        write_batch(root / "shard-00001.skb", batch[6:], version=2)
-        (root / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "manifest_version": 1,
-                    "shard_capacity": 6,
-                    "n_shards": 2,
-                    "n_rows": 10,
-                    "config_digest": batch.config_digest,
-                }
-            )
-        )
-        for mmap in (False, True):
-            loaded = ShardedSketchStore.load(root, mmap=mmap)
-            assert loaded.storage.name == "f8"
-            assert loaded.labels == [f"r{i}" for i in range(10)]
-            stacked = np.concatenate(
-                [np.asarray(loaded.shard_values(i)) for i in range(loaded.n_shards)]
-            )
-            np.testing.assert_array_equal(stacked, batch.values)
 
     def test_positional_labels_elided_from_headers(self, tmp_path):
         sk = _sketcher()
@@ -272,7 +243,7 @@ class TestQuantisedPersistence:
         store.add_batch(_batch(sk, 10, 3))  # default global-position labels
         store.save(tmp_path / "store")
         for i in range(3):
-            info = read_batch_info(tmp_path / "store" / f"shard-0000{i}.skb")
+            info = read_batch_info(shard_file(tmp_path / "store", i))
             assert info.labels == ()  # not persisted...
         loaded = ShardedSketchStore.load(tmp_path / "store")
         assert loaded.labels == list(range(10))  # ...but regenerated
@@ -286,7 +257,7 @@ class TestQuantisedPersistence:
         store = ShardedSketchStore(shard_capacity=8)
         store.add_batch(_batch(sk, 4, 3), labels=np.arange(4))
         store.save(tmp_path / "store")
-        info = read_batch_info(tmp_path / "store" / "shard-00000.skb")
+        info = read_batch_info(shard_file(tmp_path / "store"))
         assert info.labels == (0, 1, 2, 3)  # persisted explicitly
         non_positional = ShardedSketchStore(shard_capacity=8)
         non_positional.add_batch(_batch(sk, 3, 4), labels=[5, "x", None])
@@ -377,16 +348,14 @@ class TestMergeStorage:
 
 class TestWireStorageTag:
     def test_release_payloads_carry_the_dtype(self):
-        sk = _sketcher()
-        query = TopKQuery(queries=sk.sketch(np.ones(128), noise_rng=0), k=1)
-        envelope = json.loads(wire.encode_query(query).decode())
-        assert envelope["release"]["storage"] == "f8"
-        wire.decode_query(wire.encode_query(query))  # round-trips
+        # the embedded container's own header names the storage: f8
+        import base64
 
-    def test_unknown_payload_storage_rejected(self):
+        from repro.serving.serialization import batch_raw_from_bytes
+
         sk = _sketcher()
         query = TopKQuery(queries=sk.sketch(np.ones(128), noise_rng=0), k=1)
         envelope = json.loads(wire.encode_query(query).decode())
-        envelope["release"]["storage"] = "f4"
-        with pytest.raises(wire.WireError, match="f8 sketch payloads"):
-            wire.decode_query(json.dumps(envelope).encode())
+        info, _ = batch_raw_from_bytes(base64.b64decode(envelope["release"]["v3"]))
+        assert info.storage == "f8"
+        wire.decode_query(wire.encode_query(query))  # round-trips

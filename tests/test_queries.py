@@ -1,9 +1,7 @@
-"""The typed query plane: execute(), stats, clamping, legacy shims, pins.
+"""The typed query plane: execute(), stats, clamping, pins.
 
 Covers the acceptance contract of the query-plane redesign:
 
-* every legacy ``DistanceService`` method returns **bit-identical**
-  results to its ``execute(Query)`` equivalent (and warns);
 * ``QueryResult.stats`` reports shard prune counts consistent with the
   norm-bound prefilter's behaviour;
 * negative debiased estimates clamp at zero in exactly one place
@@ -50,56 +48,6 @@ def _service(n=17, shard_capacity=5, seed=21):
     store = ShardedSketchStore(shard_capacity=shard_capacity)
     store.add_batch(stored)
     return sk, stored, DistanceService(store)
-
-
-class TestLegacyShimsBitIdentical:
-    """The five deprecated methods must be exact shims over execute()."""
-
-    def test_top_k(self):
-        sk, _, service = _service()
-        query = sk.sketch(np.ones(128), noise_rng=1)
-        want = service.execute(TopKQuery(queries=query, k=5)).payload[0]
-        with pytest.warns(DeprecationWarning, match="TopKQuery"):
-            assert service.top_k(query, 5) == want
-
-    def test_top_k_batch(self):
-        sk, _, service = _service()
-        queries = _batch(sk, 3, 2)
-        want = service.execute(TopKQuery(queries=queries, k=4)).payload
-        with pytest.warns(DeprecationWarning, match="TopKQuery"):
-            assert service.top_k_batch(queries, 4) == want
-
-    def test_radius(self):
-        sk, stored, service = _service()
-        query = sk.sketch(np.ones(128), noise_rng=2)
-        cutoff = float(np.median(estimators.cross_sq_distances(stored, query)))
-        want = service.execute(RadiusQuery(query=query, radius_sq=cutoff)).payload
-        with pytest.warns(DeprecationWarning, match="RadiusQuery"):
-            assert service.radius(query, cutoff) == want
-
-    def test_cross(self):
-        sk, _, service = _service()
-        queries = _batch(sk, 3, 3)
-        want = service.execute(CrossQuery(queries=queries)).payload
-        with pytest.warns(DeprecationWarning, match="CrossQuery"):
-            np.testing.assert_array_equal(service.cross(queries), want)
-
-    def test_pairwise_submatrix(self):
-        _, _, service = _service()
-        picks = (0, 5, 16)
-        want = service.execute(PairwiseQuery(indices=picks)).payload
-        with pytest.warns(DeprecationWarning, match="PairwiseQuery"):
-            np.testing.assert_array_equal(service.pairwise_submatrix(picks), want)
-
-    def test_legacy_validation_matches_typed_validation(self):
-        sk, _, service = _service()
-        query = sk.sketch(np.ones(128), noise_rng=0)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="top"):
-                service.top_k(query, 0)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="radius_sq"):
-                service.radius(query, -1.0)
 
 
 class TestQueryStats:
@@ -385,9 +333,10 @@ class TestConstructionPathPins:
         info_digest = _CONFIG.digest()
         assert info_digest != "0" * 16
         from repro.serving.serialization import read_batch_info
+        from tests.helpers import shard_file
 
         with pytest.raises(ValueError, match="different"):
-            pinned._attach_mapped(read_batch_info(tmp_path / "store" / "shard-00000.skb"))
+            pinned._attach(read_batch_info(shard_file(tmp_path / "store")))
 
 
 class TestExecutionPolicyEnv:

@@ -39,7 +39,7 @@ from repro.serving import (
     kmeans_centroids,
     read_manifest,
 )
-from repro.serving.routing import assign_rows, covering_radius, default_cluster_count
+from repro.serving.routing import assign_rows, default_cluster_count
 from repro.serving.serialization import (
     SerializationError,
     read_routing_blob,
@@ -61,6 +61,18 @@ def _clustered_store(sk, *, n_per=150, n_centers=5, capacity=64, seed=0, noise_r
     store.add_batch(sk.sketch_batch(data, noise_rng=noise_rng))
     store.compact(routing=True, routing_seed=3)
     return store, centers
+
+
+def _shard_views(shard_values):
+    """One f8 ShardView per array of rows, each its own single-shard store."""
+    config = dataclasses.replace(_CONFIG, output_dim=shard_values[0].shape[1], sparsity=1)
+    template = PrivateSketcher(config).sketch_batch(np.zeros((1, 48)), noise_rng=0)[0:0]
+    views = []
+    for values in shard_values:
+        store = ShardedSketchStore(shard_capacity=len(values), storage="f8")
+        store.add_batch(dataclasses.replace(template, values=values))
+        views.extend(store.snapshot())
+    return views
 
 
 def _query(sk, point, noise_rng=2):
@@ -100,10 +112,10 @@ class TestKMeans:
     def test_covering_radius_contains_every_row(self):
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(500, 16)) * 100
-        centroid = rows.mean(axis=0)
-        r = covering_radius(rows, centroid)
-        dists = np.linalg.norm(rows - centroid, axis=1)
-        assert (dists <= r).all()
+        routing = build_shard_routing(_shard_views([rows]))
+        np.testing.assert_array_equal(routing.centroids[0], rows.mean(axis=0))
+        dists = np.linalg.norm(rows - routing.centroids[0], axis=1)
+        assert (dists <= routing.radii[0]).all()
 
     def test_default_cluster_count(self):
         assert default_cluster_count(0, 64) == 1
@@ -225,7 +237,7 @@ class TestNeverPrunesTrueTopK:
         assign = assign_rows(rows, centroids)
         shard_values = [rows[assign == j] for j in range(centroids.shape[0])]
         shard_values = [v for v in shard_values if v.shape[0]]
-        routing = build_shard_routing(shard_values)
+        routing = build_shard_routing(_shard_views(shard_values))
         queries = rng.normal(size=(3, 6)) * spread
         sq_q = np.einsum("ij,ij->i", queries, queries)
         correction = float(rng.normal()) * 0.1
@@ -339,7 +351,7 @@ class TestStaleness:
         _assert_bit_identical(store, _query(sk, centers[0]))
 
     def test_shard_sizes_pin_layout(self):
-        routing = build_shard_routing([np.ones((4, 3)), np.zeros((2, 3))])
+        routing = build_shard_routing(_shard_views([np.ones((4, 3)), np.zeros((2, 3))]))
         assert routing.matches([4, 2])
         assert not routing.matches([4, 3])
         assert not routing.matches([4, 2, 1])
@@ -379,7 +391,9 @@ class TestPersistence:
             ShardedSketchStore.load(tmp_path / "store")
 
     def test_blob_roundtrip_and_digest(self, tmp_path):
-        routing = build_shard_routing([np.ones((4, 3)), np.full((2, 3), 2.0)])
+        routing = build_shard_routing(
+            _shard_views([np.ones((4, 3)), np.full((2, 3), 2.0)])
+        )
         path = tmp_path / "routing.json"
         digest = write_routing_blob(
             path, routing.to_payload(), routing.centroids, routing.radii

@@ -22,10 +22,10 @@ from repro.serving.serialization import (
     batch_to_bytes,
     decode_label,
     encode_label,
+    iter_batch_rows,
     map_values,
     read_batch,
     read_batch_info,
-    write_batch,
 )
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=2.0, output_dim=32, sparsity=4, seed=5)
@@ -40,6 +40,10 @@ def _batch(n, seed=0, labels=()):
     return _sketcher().sketch_batch(
         rng.standard_normal((n, 64)), noise_rng=seed, labels=labels
     )
+
+
+def _write(path, batch) -> None:
+    path.write_bytes(batch_to_bytes(batch))
 
 
 def _assert_batches_equal(a: SketchBatch, b: SketchBatch) -> None:
@@ -147,17 +151,17 @@ class TestBinaryFormat:
 
     def test_file_roundtrip(self, tmp_path):
         batch = _batch(6, seed=9)
-        write_batch(tmp_path / "batch.skb", batch)
+        _write(tmp_path / "batch.skb", batch)
         _assert_batches_equal(batch, read_batch(tmp_path / "batch.skb"))
 
     def test_values_segment_is_aligned(self, tmp_path):
-        write_batch(tmp_path / "batch.skb", _batch(3))
+        _write(tmp_path / "batch.skb", _batch(3))
         info = read_batch_info(tmp_path / "batch.skb")
         assert info.values_offset % 64 == 0
 
     def test_header_only_parse_then_map(self, tmp_path):
         batch = _batch(12, seed=4, labels=tuple(range(12)))
-        write_batch(tmp_path / "batch.skb", batch)
+        _write(tmp_path / "batch.skb", batch)
         info = read_batch_info(tmp_path / "batch.skb")
         assert info.n_rows == 12
         assert info.labels == tuple(range(12))
@@ -169,7 +173,7 @@ class TestBinaryFormat:
 
     def test_map_values_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "batch.skb"
-        write_batch(path, _batch(8))
+        _write(path, _batch(8))
         info = read_batch_info(path)
         path.write_bytes(path.read_bytes()[:-16])
         with pytest.raises(SerializationError, match="truncated"):
@@ -248,7 +252,7 @@ class TestBinaryFormat:
         from repro.serving.serialization import _PREFIX_LEN, _meta_digest
 
         path = tmp_path / "batch.skb"
-        write_batch(path, _batch(5, labels=tuple("abcde")))
+        _write(path, _batch(5, labels=tuple("abcde")))
         blob = path.read_bytes()
         header_len = int.from_bytes(blob[6:10], "big")
         header = _json.loads(blob[_PREFIX_LEN : _PREFIX_LEN + header_len])
@@ -269,7 +273,7 @@ class TestBinaryFormat:
         # a flipped bit in the header fails the metadata digest even on
         # the header-only parse that mmap loading uses
         path = tmp_path / "batch.skb"
-        write_batch(path, _batch(4))
+        _write(path, _batch(4))
         blob = bytearray(path.read_bytes())
         target = blob.index(b'"perturbation"')
         blob[target + 1] ^= 0x01
@@ -278,37 +282,43 @@ class TestBinaryFormat:
             read_batch_info(path)
 
 
-class TestBinaryFormatV1:
-    """The PR-2 container is still readable — the migration path."""
+class TestRetiredFormats:
+    """Containers 1 and 2 are rejected, naming the version, on every path."""
 
-    def test_v1_roundtrip_stringifies_labels(self):
-        batch = _batch(3, labels=(7, None, ("a", 1)))
-        restored = batch_from_bytes(batch_to_bytes(batch, version=1))
-        _assert_batches_equal(batch, restored)
-        assert restored.labels == ("7", "None", "('a', 1)")
+    @staticmethod
+    def _retired_blob(version: int) -> bytes:
+        # the 10-byte prefix both retired formats share, then a header
+        header = b'{"payload_bytes": 0}' if version == 1 else b'{"n_rows": 0}'
+        return MAGIC + version.to_bytes(2, "big") + len(header).to_bytes(4, "big") + header
 
-    def test_v1_file_reads_eagerly_and_mapped(self, tmp_path):
-        batch = _batch(9, seed=3, labels=tuple(f"v{i}" for i in range(9)))
-        path = tmp_path / "legacy.skb"
-        write_batch(path, batch, version=1)
-        _assert_batches_equal(batch, read_batch(path))
-        info = read_batch_info(path)
-        assert info.version == 1
-        assert info.labels == batch.labels
-        np.testing.assert_array_equal(np.asarray(map_values(info)), batch.values)
-
-    def test_v1_digest_still_verified_on_eager_read(self, tmp_path):
-        path = tmp_path / "legacy.skb"
-        write_batch(path, _batch(2), version=1)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        with pytest.raises(SerializationError, match="digest mismatch"):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_eager_and_header_reads_reject(self, tmp_path, version):
+        path = tmp_path / "old.skb"
+        path.write_bytes(self._retired_blob(version))
+        match = f"unsupported format version {version}"
+        with pytest.raises(SerializationError, match=match):
+            batch_from_bytes(self._retired_blob(version))
+        with pytest.raises(SerializationError, match=match):
             read_batch(path)
+        with pytest.raises(SerializationError, match=match):
+            read_batch_info(path)
+        with pytest.raises(SerializationError, match=match):
+            list(iter_batch_rows(read_batch_info(path)))
 
-    def test_unknown_write_version_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            batch_to_bytes(_batch(1), version=7)
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_store_loads_reject(self, tmp_path, version):
+        from repro.serving import ShardedSketchStore
+        from tests.helpers import shard_file
+
+        store = ShardedSketchStore(shard_capacity=4)
+        store.add_batch(_batch(3))
+        store.save(tmp_path / "store")
+        shard_file(tmp_path / "store").write_bytes(self._retired_blob(version))
+        for mmap in (False, True):
+            with pytest.raises(
+                SerializationError, match=f"unsupported format version {version}"
+            ):
+                ShardedSketchStore.load(tmp_path / "store", mmap=mmap)
 
 
 class TestLabelCodec:

@@ -26,6 +26,7 @@ from tests.helpers import (
     envelope_atol,
     execute_top_k as _top_k,
     scan_jitter_atol,
+    shard_file,
     storage_roundtrip,
 )
 
@@ -262,8 +263,8 @@ class TestStorePersistence:
         foreign = ShardedSketchStore()
         foreign.add_batch(other.sketch_batch(rng.standard_normal((4, 128)), noise_rng=2))
         foreign.save(tmp_path / "foreign")
-        (tmp_path / "store" / "shard-00000.skb").write_bytes(
-            (tmp_path / "foreign" / "shard-00000.skb").read_bytes()
+        shard_file(tmp_path / "store").write_bytes(
+            shard_file(tmp_path / "foreign").read_bytes()
         )
         with pytest.raises(ValueError, match="swapped"):
             ShardedSketchStore.load(tmp_path / "store")

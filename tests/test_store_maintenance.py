@@ -1,13 +1,12 @@
 """Store persistence hardening: atomic saves, mmap loads, compact/merge.
 
-Regression coverage for the PR-3 persistence bugfixes (non-atomic
-``save`` corrupting existing stores, stale shard files surviving an
-overwrite) plus the new larger-than-RAM machinery: lazy memory-mapped
-shard loading, compaction and merging.
+Regression coverage for the persistence bugfixes (a ``save`` corrupting
+the existing store, stale shard files surviving an overwrite) plus the
+larger-than-RAM machinery: lazy memory-mapped shard loading,
+compaction and merging.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -22,9 +21,9 @@ from repro.serving import (
     SerializationError,
     ShardedSketchStore,
     TopKQuery,
-    write_batch,
 )
-from repro.serving import store as store_module
+from repro.serving import serialization
+from repro.serving.serialization import read_manifest, shard_dir
 from tests.helpers import (
     execute_cross as _cross,
     execute_top_k as _top_k,
@@ -61,13 +60,14 @@ class TestAtomicSave:
         big = ShardedSketchStore(shard_capacity=4)
         big.add_batch(_batch(sk, 18, 1))  # 5 shards
         big.save(tmp_path / "store")
-        assert len(list((tmp_path / "store").glob("shard-*.skb"))) == 5
+        root = tmp_path / "store"
+        assert len(list(shard_dir(root, read_manifest(root)).glob("shard-*.skb"))) == 5
         small = ShardedSketchStore(shard_capacity=8)
         small.add_batch(_batch(sk, 10, 2))  # 2 shards
-        small.save(tmp_path / "store")
-        names = sorted(p.name for p in (tmp_path / "store").iterdir())
-        assert names == ["manifest.json", "shard-00000.skb", "shard-00001.skb"]
-        _assert_same_store(ShardedSketchStore.load(tmp_path / "store"), small)
+        small.save(root)
+        names = sorted(p.name for p in shard_dir(root, read_manifest(root)).iterdir())
+        assert names == ["shard-00000.skb", "shard-00001.skb"]
+        _assert_same_store(ShardedSketchStore.load(root), small)
 
     def test_failed_save_preserves_existing_store(self, tmp_path, monkeypatch):
         # regression: a crash mid-save must not corrupt the store that
@@ -80,15 +80,17 @@ class TestAtomicSave:
         before = {p: p.read_bytes() for p in on_disk if p.is_file()}
 
         calls = {"n": 0}
-        real = store_module.write_batch
+        real = serialization.StreamingBatchWriter.append
 
-        def explode_on_second(path, batch, **kwargs):
+        def explode_on_second(self, *args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise OSError("disk full")
-            return real(path, batch, **kwargs)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(store_module, "write_batch", explode_on_second)
+        monkeypatch.setattr(
+            serialization.StreamingBatchWriter, "append", explode_on_second
+        )
         doomed = ShardedSketchStore(shard_capacity=4)
         doomed.add_batch(_batch(sk, 12, 4))
         with pytest.raises(OSError, match="disk full"):
@@ -102,6 +104,27 @@ class TestAtomicSave:
         _assert_same_store(ShardedSketchStore.load(tmp_path / "store"), original)
         # and no staging litter next to the store
         assert sorted(p.name for p in tmp_path.iterdir()) == ["store"]
+
+    def test_mmap_readers_survive_a_save_over_their_directory(self, tmp_path):
+        # a reader attached to the replaced generation keeps answering
+        # bit-identically, even from shards it had not touched yet: the
+        # save publishes a new generation and retains the old one
+        sk = _sketcher()
+        root = tmp_path / "store"
+        old = ShardedSketchStore(shard_capacity=4)
+        old.add_batch(_batch(sk, 14, 5))
+        old.save(root)
+        queries = _batch(sk, 3, 6)
+        want = _cross(DistanceService(ShardedSketchStore.load(root)), queries)
+        reader = ShardedSketchStore.load(root, mmap=True)
+        service = DistanceService(reader)
+        service.execute(PairwiseQuery(indices=(0, 1)))  # maps shard 0 only
+        assert not any(shard.materialized for shard in reader._shards[1:])
+        new = ShardedSketchStore(shard_capacity=4)
+        new.add_batch(_batch(sk, 14, 7))  # same shape, different rows
+        new.save(root)
+        np.testing.assert_array_equal(_cross(service, queries), want)
+        _assert_same_store(ShardedSketchStore.load(root), new)
 
     def test_save_creates_parent_directories(self, tmp_path):
         sk = _sketcher()
@@ -213,38 +236,6 @@ class TestMmapLoad:
         reloaded = ShardedSketchStore.load(tmp_path / "store")
         assert len(reloaded) == 34
         _assert_same_store(reloaded, mapped)
-
-    def test_v1_store_still_loads(self, tmp_path):
-        # a store saved by the PR-2 writer: v1 shard blobs + manifest
-        sk = _sketcher()
-        batch = _batch(sk, 10, 5, labels=tuple(f"r{i}" for i in range(10)))
-        root = tmp_path / "legacy"
-        root.mkdir()
-        write_batch(root / "shard-00000.skb", batch[:6], version=1)
-        write_batch(root / "shard-00001.skb", batch[6:], version=1)
-        (root / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "manifest_version": 1,
-                    "shard_capacity": 6,
-                    "n_shards": 2,
-                    "n_rows": 10,
-                    "config_digest": batch.config_digest,
-                }
-            )
-        )
-        for mmap in (False, True):
-            loaded = ShardedSketchStore.load(root, mmap=mmap)
-            assert loaded.labels == [f"r{i}" for i in range(10)]
-            stacked = np.concatenate(
-                [np.asarray(loaded.shard_values(i)) for i in range(loaded.n_shards)]
-            )
-            np.testing.assert_array_equal(stacked, batch.values)
-        # migration: one save rewrites the store in the current format
-        upgraded_path = tmp_path / "upgraded"
-        ShardedSketchStore.load(root, mmap=True).save(upgraded_path)
-        upgraded = ShardedSketchStore.load(upgraded_path)
-        assert upgraded.labels == [f"r{i}" for i in range(10)]
 
 
 class TestCompact:

@@ -1,11 +1,12 @@
 """Streaming serialization: block iteration and incremental v3 writes.
 
-The disk-to-disk maintenance path (PR 7) rests on two guarantees from
-the serialization layer: ``iter_batch_rows`` streams a stored shard's
-raw codes in bounded blocks while still verifying the recorded digest,
-and ``StreamingBatchWriter``/``write_batch_streaming`` produce a v3
-container **byte-identical** to the one-shot ``write_batch`` — the
-format does not fork just because the writer streamed.
+Every store writer rests on two guarantees from the serialization
+layer: ``iter_batch_rows`` streams a stored shard's raw codes in
+bounded blocks while still verifying the recorded digest, and
+``StreamingBatchWriter`` — the only file writer — commits the same
+bytes however the rows were split into blocks, equal for ``f8`` to the
+in-memory ``batch_to_bytes`` — the format does not fork just because
+the writer streamed.
 """
 
 import dataclasses
@@ -16,10 +17,9 @@ import pytest
 from repro.core.sketch import PrivateSketcher, SketchConfig
 from repro.serving import (
     SerializationError,
+    batch_to_bytes,
     read_batch,
     read_batch_info,
-    write_batch,
-    write_batch_streaming,
 )
 from repro.serving.serialization import (
     DEFAULT_BLOCK_ROWS,
@@ -39,10 +39,20 @@ def batch():
 
 
 def _template(tmp_path, batch):
-    """A zero-row metadata carrier, the way maintenance obtains one."""
+    """A zero-row metadata carrier, the way a stored shard yields one."""
     path = tmp_path / "template.skb"
-    write_batch(path, batch)
+    path.write_bytes(batch_to_bytes(batch))
     return read_batch_info(path).meta
+
+
+def _stream(path, blocks, template, *, storage="f8", scale=None, labels=()):
+    """Write ``blocks`` of codes as one container, labels sliced per block."""
+    with StreamingBatchWriter(path, template, storage=storage, scale=scale) as writer:
+        offset = 0
+        for block in blocks:
+            writer.append(block, labels[offset : offset + block.shape[0]])
+            offset += block.shape[0]
+        writer.commit()
 
 
 def _encode(batch, spec_name):
@@ -63,7 +73,7 @@ class TestIterBatchRows:
     ):
         codes, scale = _encode(batch, spec_name)
         path = tmp_path / "shard.skb"
-        write_batch(path, batch, storage=spec_name, encoded=codes, scale=scale)
+        _stream(path, [codes], _template(tmp_path, batch), storage=spec_name, scale=scale)
         info = read_batch_info(path)
         blocks = list(iter_batch_rows(info, block_rows))
         assert all(b.shape[0] <= block_rows for b in blocks)
@@ -71,7 +81,7 @@ class TestIterBatchRows:
 
     def test_digest_mismatch_raises_at_exhaustion(self, tmp_path, batch):
         path = tmp_path / "shard.skb"
-        write_batch(path, batch)
+        path.write_bytes(batch_to_bytes(batch))
         info = read_batch_info(path)
         # corrupt one byte inside the values segment
         raw = bytearray(path.read_bytes())
@@ -89,21 +99,21 @@ class TestIterBatchRows:
 
     def test_partial_consumption_verifies_nothing(self, tmp_path, batch):
         path = tmp_path / "shard.skb"
-        write_batch(path, batch)
+        path.write_bytes(batch_to_bytes(batch))
         stream = iter_batch_rows(read_batch_info(path), block_rows=4)
         next(stream)
         stream.close()  # no error: digest only checked at exhaustion
 
     def test_bytes_parsed_info_is_rejected(self, tmp_path, batch):
         path = tmp_path / "shard.skb"
-        write_batch(path, batch)
+        path.write_bytes(batch_to_bytes(batch))
         info = dataclasses.replace(read_batch_info(path), path=None)
         with pytest.raises(ValueError, match="bytes, not a file"):
             next(iter_batch_rows(info))
 
     def test_bad_block_rows_is_rejected(self, tmp_path, batch):
         path = tmp_path / "shard.skb"
-        write_batch(path, batch)
+        path.write_bytes(batch_to_bytes(batch))
         with pytest.raises(ValueError, match="block_rows"):
             next(iter_batch_rows(read_batch_info(path), block_rows=0))
 
@@ -115,45 +125,29 @@ class TestStreamingWriter:
         self, tmp_path, batch, spec_name, block_rows
     ):
         codes, scale = _encode(batch, spec_name)
-        # the encoded= contract: batch.values must already be the
-        # decoded rows the codes scan as (store.save() guarantees this)
-        spec = StorageSpec.parse(spec_name)
-        decoded = dataclasses.replace(
-            batch, values=np.asarray(spec.decode(codes, scale), dtype=np.float64)
-        )
+        template = _template(tmp_path, batch)
         one_shot = tmp_path / "one-shot.skb"
-        write_batch(one_shot, decoded, storage=spec_name, encoded=codes, scale=scale)
+        _stream(one_shot, [codes], template, storage=spec_name, scale=scale)
         streamed = tmp_path / "streamed.skb"
         blocks = [
             codes[i : i + block_rows] for i in range(0, codes.shape[0], block_rows)
         ]
-        write_batch_streaming(
-            streamed,
-            blocks,
-            _template(tmp_path, batch),
-            storage=spec_name,
-            scale=scale,
-        )
+        _stream(streamed, blocks, template, storage=spec_name, scale=scale)
         assert streamed.read_bytes() == one_shot.read_bytes()
+        if spec_name == "f8":  # the in-memory twin builds the same bytes
+            assert streamed.read_bytes() == batch_to_bytes(batch)
 
     def test_labels_roundtrip(self, tmp_path, batch):
         labels = tuple(f"row-{i}" for i in range(len(batch)))
         codes, _ = _encode(batch, "f8")
         path = tmp_path / "labelled.skb"
-        write_batch_streaming(
-            path, [codes[:10], codes[10:]], _template(tmp_path, batch), labels=labels
-        )
+        _stream(path, [codes[:10], codes[10:]], _template(tmp_path, batch), labels=labels)
         assert read_batch(path).labels == labels
 
     def test_label_count_mismatch_is_rejected(self, tmp_path, batch):
         codes, _ = _encode(batch, "f8")
         with pytest.raises(ValueError, match="label"):
-            write_batch_streaming(
-                tmp_path / "bad.skb",
-                [codes],
-                _template(tmp_path, batch),
-                labels=("only-one",),
-            )
+            _stream(tmp_path / "bad.skb", [codes], _template(tmp_path, batch), labels=("only-one",))
 
     def test_int8_requires_a_scale(self, tmp_path, batch):
         with pytest.raises(ValueError, match="scale"):

@@ -2,7 +2,7 @@
 
 The wire contract is *exactness*: a query that crosses the wire and
 comes back must be indistinguishable from the original — float64 values
-bit-for-bit (they ride in the v2 binary container), label types
+bit-for-bit (they ride in the v3 binary container), label types
 preserved (the ``encode_label``/``decode_label`` lesson from the store
 persistence work), parameters equal.  Hypothesis drives the shapes;
 the rejection tests pin every malformed-envelope and version-mismatch
@@ -264,7 +264,7 @@ class TestRejection:
         envelope["version"] = wire.WIRE_VERSION + 1
         with pytest.raises(WireError, match="unsupported wire version"):
             wire.decode_query(json.dumps(envelope).encode())
-        envelope["version"] = "1"  # right number, wrong type: still rejected
+        envelope["version"] = str(wire.WIRE_VERSION)  # right number, wrong type
         with pytest.raises(WireError, match="unsupported wire version"):
             wire.decode_query(json.dumps(envelope).encode())
 
@@ -294,7 +294,7 @@ class TestRejection:
         envelope = json.loads(
             wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
         )
-        envelope["release"]["v2"] = "!!! not base64 !!!"
+        envelope["release"]["v3"] = "!!! not base64 !!!"
         with pytest.raises(WireError, match="base64"):
             wire.decode_query(json.dumps(envelope).encode())
 
@@ -304,10 +304,46 @@ class TestRejection:
         envelope = json.loads(
             wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
         )
-        blob = bytearray(base64.b64decode(envelope["release"]["v2"]))
+        blob = bytearray(base64.b64decode(envelope["release"]["v3"]))
         blob[len(blob) // 2] ^= 0xFF
-        envelope["release"]["v2"] = base64.b64encode(bytes(blob)).decode()
+        envelope["release"]["v3"] = base64.b64encode(bytes(blob)).decode()
         with pytest.raises(WireError, match="invalid"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize("storage", ["f4", "f2", "int8"])
+    def test_quantised_release_container_rejected(self, tmp_path, storage):
+        # a query sketch is a release: rounded values are not the
+        # released ones, whatever the envelope around them claims
+        import base64
+
+        from repro.serving.serialization import StreamingBatchWriter
+        from repro.serving.storage import StorageSpec
+
+        spec = StorageSpec.parse(storage)
+        values = np.random.default_rng(1).standard_normal((1, 32))
+        scale = spec.int8_step(float(np.abs(values).max())) if spec.quantised else None
+        path = tmp_path / "release.skb"
+        with StreamingBatchWriter(path, _TEMPLATE, storage=spec, scale=scale) as writer:
+            writer.append(spec.encode(values, scale))
+            writer.commit()
+        envelope = json.loads(
+            wire.encode_query(CrossQuery(queries=_batch_of(values))).decode("utf-8")
+        )
+        (key,) = [k for k in envelope["release"] if k not in ("as", "storage")]
+        envelope["release"][key] = base64.b64encode(path.read_bytes()).decode()
+        with pytest.raises(WireError, match="f8 sketch payloads"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_retired_container_versions_rejected(self, version):
+        import base64
+
+        blob = b"RSKB" + version.to_bytes(2, "big") + (2).to_bytes(4, "big") + b"{}"
+        envelope = json.loads(
+            wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
+        )
+        envelope["release"]["v3"] = base64.b64encode(blob).decode()
+        with pytest.raises(WireError, match=f"unsupported format version {version}"):
             wire.decode_query(json.dumps(envelope).encode())
 
     def test_query_batch_must_be_array(self):
