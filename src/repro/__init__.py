@@ -57,7 +57,6 @@ from repro.serving import (
     RadiusQuery,
     ReleaseCache,
     RouterService,
-    RoutingSpec,
     ShardedSketchStore,
     StorageSpec,
     StoreMaintainer,
@@ -90,7 +89,6 @@ __all__ = [
     "RadiusQuery",
     "ReleaseCache",
     "RouterService",
-    "RoutingSpec",
     "SketchQueryServer",
     "TopKQuery",
     "EnsembleSketch",

@@ -70,25 +70,25 @@ replaces, so handles mmap-loaded from it keep answering; re-``load``
 them before the next publish prunes it (see
 :meth:`ShardedSketchStore.save`).
 
-**Prefilter guarantee.**  The norm-bound prefilter (on by default, see
-:class:`ExecutionPolicy`) skips a shard only when the reverse triangle
-inequality over the shard's cached norm range — minus a safety slack
-that dominates floating-point rounding — proves every distance in the
-shard is strictly worse than the current threshold.  Query results with
-the prefilter on are identical to results with it off, ties included;
-it is a work-skipping optimisation, never an approximation.  Skipped
-shards are visible in ``QueryResult.stats.shards_pruned``.
+**Prefilter guarantee.**  Top-k and radius queries bound every shard
+from below before scanning it: by the reverse triangle inequality over
+the shard's cached norm range (the prefilter, on by default, see
+:class:`ExecutionPolicy`) and, on a routed store, over its centroid
+ball — minus a safety slack that dominates floating-point rounding.
+Shards are visited best bound first, and one is skipped only when its
+bound proves every distance in it strictly worse than the current
+threshold.  Query results are identical with the bounds on or off,
+ties included; they are a work-skipping optimisation, never an
+approximation.  Skipped shards are visible in
+``QueryResult.stats.shards_pruned``.
 
 **Centroid routing.**  ``compact(routing=True)`` clusters the live rows
 (seeded, deterministic k-means) so each sealed shard holds one cluster,
 and persists per-shard centroids and covering radii in the manifest
-(:mod:`repro.serving.routing`).  On such stores the query plane adds a
-routing stage *ahead of* the prefilter: in exact mode the centroid-ball
-bound ``max(0, ||q - c|| - r)`` skips provably hopeless shards under
-the same slack discipline as the prefilter — bit-identical results,
-ties included; per-query :class:`RoutingSpec(nprobe=N) <RoutingSpec>`
-instead visits only the ``N`` nearest-centroid shards, an explicit
-recall/speed trade reported in ``QueryStats.shards_routed``.  Both are
+(:mod:`repro.serving.routing`).  On such stores the centroid-ball bound
+``max(0, ||q - c|| - r)`` joins the norm bound under the same slack
+discipline — bit-identical results, ties included; the shards it alone
+rules out are reported in ``QueryStats.shards_routed``.  Routing is
 post-processing of released sketches: no extra privacy budget.
 
 **One entry point, one format.**  ``DistanceService.execute()`` is the
@@ -119,7 +119,6 @@ from repro.serving.queries import (
     QueryResult,
     QueryStats,
     RadiusQuery,
-    RoutingSpec,
     TopKQuery,
 )
 from repro.serving.routing import ShardRouting, build_shard_routing, kmeans_centroids
@@ -181,7 +180,6 @@ __all__ = [
     "RadiusQuery",
     "ReleaseCache",
     "RouterService",
-    "RoutingSpec",
     "STORAGE_SPECS",
     "SerializationError",
     "ShardRouting",

@@ -11,7 +11,8 @@ merge stays trivially small.
 
 Results are **bit-identical** across policies: every shard block is the
 same deterministic arithmetic whatever thread runs it, and the merge
-consumes the blocks in shard order regardless of completion order.
+ranks candidates by estimate, then global position, regardless of
+completion order.
 
 **BLAS threads compose multiplicatively with the pool.**  Most BLAS
 builds default to one internal thread per core; fanning shard blocks
@@ -243,18 +244,16 @@ class ExecutionPolicy:
         ``1`` streams shards serially on the calling thread; ``N > 1``
         fans shard blocks out across a pool of ``N`` threads.
     prefilter:
-        Enable the norm-bound shard prefilter (skip shards whose
-        best-case distance provably cannot produce a result).  Exact —
-        filtered and unfiltered queries return identical answers; see
-        :mod:`repro.serving.service` for the guarantee.
+        Enable the norm bound (skip shards whose best-case distance
+        provably cannot produce a result).  Exact — filtered and
+        unfiltered queries return identical answers; see
+        :mod:`repro.serving.service` for the guarantee.  With both
+        bounds enabled a shard is bounded by the larger of the two.
     routing:
-        Enable the exact centroid-routing stage ahead of the prefilter
-        on stores that carry a routing table
-        (:mod:`repro.serving.routing`).  Also exact — the centroid-ball
-        bound only skips provably hopeless shards, so results never
-        depend on it.  Per-query ``RoutingSpec(nprobe=N)`` approximate
-        routing is requested on the query itself and is *not* gated by
-        this switch (an explicit spec is an explicit recall trade).
+        Enable the centroid-ball bound on stores that carry a routing
+        table (:mod:`repro.serving.routing`).  Also exact — the bound
+        only skips provably hopeless shards, so results never depend on
+        it.
     """
 
     workers: int = 1

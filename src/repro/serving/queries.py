@@ -21,8 +21,8 @@ is the only party that knows the store.
 
 Every execution returns a :class:`QueryResult`: the payload plus a
 :class:`QueryStats` record of what the backend actually did — shards
-visited and pruned by the norm-bound prefilter, rows scanned, wall
-time.  The stats make the prefilter's work-skipping observable without
+visited and pruned by the exact shard bounds, rows scanned, wall
+time.  The stats make the bounds' work-skipping observable without
 monkeypatching estimators, and let a remote client see server-side cost.
 
 Payload shapes by query kind (identical local and remote):
@@ -49,8 +49,6 @@ import dataclasses
 import numbers
 from dataclasses import dataclass
 
-from repro.serving.routing import RoutingSpec
-
 #: The union of query dataclasses — kept in one tuple so dispatchers and
 #: codecs enumerate the algebra from a single place.
 __all__ = [
@@ -61,16 +59,8 @@ __all__ = [
     "QueryResult",
     "QueryStats",
     "RadiusQuery",
-    "RoutingSpec",
     "TopKQuery",
 ]
-
-
-def _check_routing(routing) -> None:
-    if routing is not None and not isinstance(routing, RoutingSpec):
-        raise ValueError(
-            f"routing must be a RoutingSpec or None, got {routing!r}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +72,6 @@ class TopKQuery:
     ranking per row (a single sketch yields a one-entry list), each a
     list of ``(label, clamped squared-distance estimate)`` pairs in
     ascending distance order, ties broken by insertion order.
-
-    ``routing`` optionally carries a
-    :class:`~repro.serving.routing.RoutingSpec`: ``nprobe=N`` trades
-    recall for speed by visiting only the ``N`` nearest-centroid
-    shards; the default ``None`` (and ``RoutingSpec()``) keeps results
-    exact.  See :mod:`repro.serving.routing` for the contract.
     """
 
     #: kind tags are the wire names; they never change once released
@@ -95,7 +79,6 @@ class TopKQuery:
 
     queries: object
     k: int = 1
-    routing: RoutingSpec | None = None
 
     def __post_init__(self) -> None:
         if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral):
@@ -103,7 +86,6 @@ class TopKQuery:
         object.__setattr__(self, "k", int(self.k))  # np.int64 -> JSON-safe int
         if self.k < 1:
             raise ValueError(f"top must be >= 1, got {self.k}")
-        _check_routing(self.routing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +103,11 @@ class RadiusQuery:
 
     query: object
     radius_sq: float
-    routing: RoutingSpec | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "radius_sq", float(self.radius_sq))
         if not self.radius_sq >= 0:  # rejects NaN too
             raise ValueError(f"radius_sq must be >= 0, got {self.radius_sq}")
-        _check_routing(self.routing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +172,8 @@ class QueryStats:
     """What one execution actually did, for observability and tests.
 
     ``shards_pruned`` counts shards skipped without computing their
-    distance block — by the norm-bound prefilter, or (for pairwise
+    distance block — by the exact shard lower bounds (see
+    :mod:`repro.serving.service`), or (for pairwise
     gathers) because no requested row lives in them; ``shards_visited``
     counts the shards whose block (or cached norms) was actually
     consumed — the two always sum to the snapshot's shard count.
@@ -202,13 +183,19 @@ class QueryStats:
     execution it is the *server-side* time, so a client can separate
     network cost from compute cost.
 
-    ``shards_routed`` counts the shards the centroid-routing stage
-    skipped — by the exact centroid-ball bound, or because an
-    ``nprobe`` spec left them unprobed.  Routed shards are a subset of
-    ``shards_pruned`` (they were skipped without computing a block), so
-    the visited + pruned == total invariant is unchanged; the counter
-    separates the routing stage's work-skipping from the norm
-    prefilter's.
+    ``shards_routed`` counts the skipped shards that the centroid-ball
+    bound of :mod:`repro.serving.routing` alone proves hopeless.  A
+    shard that only the larger of the centroid-ball and norm bounds
+    rules out — possible for multi-row batches, where each bound can
+    spare a different row — counts as pruned, not routed.  Routed
+    shards are a subset of ``shards_pruned``, so the visited + pruned
+    == total invariant is unchanged.
+
+    Under ``ExecutionPolicy(workers > 1)`` the prune counts depend on
+    thread scheduling: each shard is checked against the running
+    top-``k`` cutoff as it stands when the shard starts, and shards
+    running concurrently see a cutoff that lags the serial schedule.
+    The answers never depend on it.
     """
 
     shards_visited: int = 0

@@ -1,4 +1,4 @@
-"""IVF-style centroid routing: sub-linear shard selection for queries.
+"""Centroid routing: sub-linear shard selection for exact queries.
 
 The norm-bound prefilter of :mod:`repro.serving.service` is a 1-D
 projection of sketch geometry: it can only rule a shard out when the
@@ -13,37 +13,30 @@ map approximately preserves Euclidean geometry (Stausholm, PODS 2021),
 rows that are close in input space land in the same sketch-space ball,
 so the balls are tight and routing is selective.
 
-Two modes consume the ``(c_i, r_i)`` table:
+The query plane uses the ``(c_i, r_i)`` table when it matches the
+snapshot's layout and
+:attr:`~repro.serving.execution.ExecutionPolicy.routing` is on.  By the
+reverse triangle inequality every row ``v`` of shard ``i`` satisfies
+``||q - v|| >= ||q - c_i|| - r_i``, so the shard's whole distance block
+is bounded below by ``max(0, ||q - c_i|| - r_i)^2 - correction`` — the
+same shape as the norm bound of :mod:`repro.serving.service`.  The scan
+driver takes the larger of the two, visits shards in ascending order of
+it (best-first search over the cover the balls form) and skips a shard
+only when the bound *proves* it cannot contribute a result.  Routed
+results are therefore **bit-identical** to unrouted ones; routing is
+pure work-skipping, never approximation, and — like every query — it
+is post-processing of already-released sketches, so the privacy
+guarantee is untouched.  The bound is widened by the same slack recipe
+as the norm bound (relative slack dominating float64 rounding, plus the
+float32 accumulation envelope ``4 * gamma * ||q|| * (||c_i|| + r_i)``
+from :mod:`repro.theory.quantisation` on quantised stores — ``||c_i|| +
+r_i`` bounds every row norm in the ball, standing in for the norm
+bound's ``sqrt(hi)``).
 
-* **Exact routing** (the default whenever routing data is present and
-  :attr:`~repro.serving.execution.ExecutionPolicy.routing` is on).  By
-  the reverse triangle inequality every row ``v`` of shard ``i``
-  satisfies ``||q - v|| >= ||q - c_i|| - r_i``, so the shard's whole
-  distance block is bounded below by ``max(0, ||q - c_i|| - r_i)^2 -
-  correction`` — the same shape of bound the norm prefilter feeds to
-  :class:`~repro.serving.service._RunningBest`, and it is applied the
-  same way: a shard is skipped only when the bound *proves* it cannot
-  contribute a result.  Routed results are therefore **bit-identical**
-  to unrouted ones; routing is pure work-skipping, never approximation.
-  The bound is widened by the same slack recipe as the prefilter
-  (relative slack dominating float64 rounding, plus the float32
-  accumulation envelope ``4 * gamma * ||q|| * (||c_i|| + r_i)`` from
-  :mod:`repro.theory.quantisation` on quantised stores — ``||c_i|| +
-  r_i`` bounds every row norm in the ball, standing in for the
-  prefilter's ``sqrt(hi)``).
-
-* **Approximate routing** (:class:`RoutingSpec` with ``nprobe=N`` on a
-  :class:`~repro.serving.queries.TopKQuery` /
-  :class:`~repro.serving.queries.RadiusQuery`).  Only the ``N`` shards
-  with the nearest centroids are visited (per query row; a batch visits
-  the union).  This is the classical IVF trade: recall is no longer
-  guaranteed, but on clustered data a small ``N`` preserves nearly all
-  of it — the routed-search benchmark gates recall@10 >= 0.95 — while
-  rows scanned drop by ~``n_shards / N``.  The recall contract is the
-  same utility-vs-cost framing the paper's related work applies to
-  approximate private release baselines: the *privacy* guarantee is
-  untouched (routing is post-processing of already-released sketches;
-  no noise is added or removed), only *utility* is traded.
+Routing prunes only where clusters lie further apart than their spread:
+every covering radius includes the norm of the paper's release noise,
+about ``sqrt(k E[eta^2])``, so on data without cluster structure the
+balls overlap and the query plane scans every shard — still exactly.
 
 Staleness: a :class:`ShardRouting` is only valid for the exact shard
 layout it was built from.  The store invalidates it on append and
@@ -56,7 +49,6 @@ misroute — it simply stops being used until the next rebuild
 from __future__ import annotations
 
 import dataclasses
-import numbers
 
 import numpy as np
 
@@ -71,40 +63,12 @@ DEFAULT_TRAIN_SAMPLE = 32768
 #: and bounded.
 _KMEANS_ITERS = 25
 
-#: Same relative safety slack as the norm prefilter
+#: Same relative safety slack as the norm bound
 #: (``repro.serving.service._PREFILTER_REL_SLACK``): double-precision
 #: rounding in a distance block is ~1e-16 relative, a 1e-9 margin
 #: dominates it by seven orders of magnitude.  Kept as a local constant
 #: because the service imports this module, not the other way around.
 _ROUTING_REL_SLACK = 1e-9
-
-
-@dataclasses.dataclass(frozen=True)
-class RoutingSpec:
-    """Per-query routing directive, carried by top-k and radius queries.
-
-    ``nprobe=None`` (the default) requests *exact* routing: the
-    centroid-ball bound may skip provably hopeless shards, results are
-    bit-identical to an unrouted scan.  ``nprobe=N`` requests the
-    approximate IVF mode: visit only the ``N`` nearest-centroid shards
-    per query row.  Executing any spec against a store with no routing
-    table raises ``ValueError`` for ``nprobe`` mode (the contract
-    cannot be honoured) and silently degrades to an unrouted scan for
-    exact mode (which is always correct).
-    """
-
-    nprobe: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.nprobe is None:
-            return
-        if isinstance(self.nprobe, bool) or not isinstance(
-            self.nprobe, numbers.Integral
-        ):
-            raise ValueError(f"nprobe must be an integer or None, got {self.nprobe!r}")
-        object.__setattr__(self, "nprobe", int(self.nprobe))
-        if self.nprobe < 1:
-            raise ValueError(f"nprobe must be >= 1, got {self.nprobe}")
 
 
 def kmeans_centroids(
@@ -224,18 +188,6 @@ class ShardRouting:
 
     # -- query-time geometry -------------------------------------------------
 
-    def centroid_sq_distances(
-        self, rows: np.ndarray, sq_rows: np.ndarray
-    ) -> np.ndarray:
-        """``(n_queries, n_shards)`` squared query-to-centroid distances."""
-        sq_c = np.einsum("ij,ij->i", self.centroids, self.centroids)
-        d = (
-            sq_rows[:, np.newaxis]
-            + sq_c[np.newaxis, :]
-            - 2.0 * (rows @ self.centroids.T)
-        )
-        return np.maximum(d, 0.0)
-
     def lower_bounds(
         self,
         rows: np.ndarray,
@@ -252,14 +204,14 @@ class ShardRouting:
         raw squared distance in the shard from below, the correction is
         subtracted, and a relative slack (scaled by ``(||c_i|| +
         r_i)^2``, which bounds every row's squared norm in the ball —
-        the stand-in for the prefilter's ``hi``) plus the float32
+        the stand-in for the norm bound's ``hi``) plus the float32
         accumulation term ``4 * gamma * ||q|| * (||c_i|| + r_i)``
         absorbs anything the scanning GEMM can round.  Comparing these
         bounds *strictly greater* against a threshold can only skip
         shards whose every entry genuinely exceeds it — routed exact
         results are identical to unrouted ones, ties included.
         """
-        dist = np.sqrt(self.centroid_sq_distances(rows, sq_rows))
+        dist = np.sqrt(_sq_dists_to(rows, self.centroids))
         reach = np.linalg.norm(self.centroids, axis=1) + self.radii
         gap = np.maximum(dist - self.radii[np.newaxis, :], 0.0)
         slack = (
@@ -270,15 +222,6 @@ class ShardRouting:
         if gamma:
             slack = slack + 4.0 * gamma * query_norms[:, np.newaxis] * reach[np.newaxis, :]
         return gap * gap - correction - slack
-
-    def probe_shards(self, rows: np.ndarray, sq_rows: np.ndarray, nprobe: int) -> np.ndarray:
-        """Sorted union of each query row's ``nprobe`` nearest shards."""
-        n = min(int(nprobe), self.n_shards)
-        if n == self.n_shards:
-            return np.arange(self.n_shards, dtype=np.intp)
-        sq_d = self.centroid_sq_distances(rows, sq_rows)
-        nearest = np.argpartition(sq_d, n - 1, axis=1)[:, :n]
-        return np.unique(nearest)
 
     # -- persistence ---------------------------------------------------------
 
@@ -356,7 +299,7 @@ def default_cluster_count(n_rows: int, shard_capacity: int) -> int:
     """One cluster per (would-be) full shard — the routing default.
 
     Matching cluster count to shard capacity means a cluster typically
-    fills about one shard, so the centroid table stays exactly one
-    entry per shard and ``nprobe`` maps directly onto "shards visited".
+    fills about one shard, so each centroid ball covers about one
+    shard's rows.
     """
     return max(1, -(-n_rows // shard_capacity))

@@ -344,16 +344,12 @@ class _QueryHandler(BaseHTTPRequestHandler):
         if store is None:
             return None  # a router has no cheap store-state token: no caching
         meta = store.metadata
-        routing = store.routing
         return (
             len(store),
             None if meta is None else meta.config_digest,
             store.storage.name,
             store.generation,
             len(store.tombstones),
-            # a routing rebuild changes answers' cost profile but also —
-            # for nprobe queries — the answers themselves: new table, new token
-            None if routing is None else (routing.generation, routing.n_clusters),
         )
 
     def do_GET(self) -> None:

@@ -20,32 +20,39 @@ every query kind — store validation, snapshotting, the
 ``execute()`` protocol, so local and remote backends are
 interchangeable.
 
-Four mechanisms keep large stores fast:
+Top-k, radius and cross queries run through one scan driver.  It
+validates the query, freezes one snapshot, visits the shards and hands
+each live block (tombstoned columns already dropped) to a small
+consumer for the query kind: running top-k selection, radius hits, or
+the cross writer.  Four mechanisms keep large stores fast:
 
 * **Shard parallelism** — an :class:`~repro.serving.execution.ExecutionPolicy`
   with ``workers > 1`` dispatches per-shard distance blocks across a
-  thread pool (BLAS releases the GIL) and merges the per-shard winners
-  in shard order, so results are bit-identical to serial execution.
-* **Centroid routing** — on a store carrying a
-  :class:`~repro.serving.routing.ShardRouting` table (built by a
-  clustered compaction), a stage *ahead of* the norm prefilter bounds
-  each shard's whole distance block by the reverse triangle inequality
-  over its centroid ball, ``max(0, ||q - c_i|| - r_i)^2``.  Exact mode
-  (the default) skips only provably hopeless shards — bit-identical
-  results, same slack discipline as the prefilter; a per-query
-  :class:`~repro.serving.queries.RoutingSpec` with ``nprobe=N`` trades
-  recall for speed by visiting only the ``N`` nearest-centroid shards.
-  Shards the stage skips are counted in ``stats.shards_routed`` (a
-  subset of ``shards_pruned``).  See :mod:`repro.serving.routing`.
-* **Norm-bound prefilter** — by the reverse triangle inequality a shard
-  whose cached squared-norm range puts every row's best-case distance
-  strictly above the current ``k``-th candidate (or the radius cutoff)
-  cannot contribute a result and is skipped without computing its
-  block.  The bound includes a relative safety slack that dominates
-  floating-point rounding, so prefiltered answers are *identical* to
-  unfiltered ones — it is a pure work-skipping optimisation, never an
-  approximation.  Shards it skips are reported in
-  ``QueryResult.stats.shards_pruned``.
+  thread pool (BLAS releases the GIL); the merge depends only on the
+  blocks, not on which thread computed them or when, so results are
+  bit-identical to serial execution.
+* **Exact shard bounds** — before any block is computed, the driver
+  builds one ``(query rows x shards)`` matrix of lower bounds on every
+  estimate a shard can produce: the larger of the *norm bound* (reverse
+  triangle inequality over the shard's cached squared-norm range) and,
+  on a store carrying a :class:`~repro.serving.routing.ShardRouting`
+  table (built by a clustered compaction), the *centroid-ball bound*
+  ``max(0, ||q - c_i|| - r_i)^2`` of :mod:`repro.serving.routing`.  A
+  shard is skipped only when its bound is strictly above the query
+  kind's cutoff for every query row — the running ``k``-th best for
+  top-k, ``radius_sq`` for radius; cross has no cutoff and computes no
+  bounds.  Both bounds subtract a relative safety slack that dominates
+  floating-point rounding, so answers are *identical* to an unbounded
+  scan, ties included — pure work-skipping, never approximation.
+  Skipped shards are reported in ``stats.shards_pruned``, and those the
+  centroid-ball bound alone rules out also in ``stats.shards_routed``.
+  ``ExecutionPolicy.prefilter`` and ``ExecutionPolicy.routing`` switch
+  the two bounds.
+* **Best-first order** — shards are visited in ascending order of their
+  least bound over the query rows, so the running ``k``-th best
+  tightens on the most promising shards first and rules out the rest
+  early.  The order never changes an answer: rankings merge on the
+  estimate, then the global row position.
 * **Snapshot reads** — every query freezes a
   :meth:`~repro.serving.store.ShardedSketchStore.snapshot` first, so it
   sees a consistent prefix of the store even while one writer keeps
@@ -98,6 +105,7 @@ import dataclasses
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -154,17 +162,17 @@ _PREFILTER_REL_SLACK = 1e-9
 
 
 def _shard_lower_bounds(
-    view: ShardView,
+    views: list[ShardView],
     sq_rows: np.ndarray,
     query_norms: np.ndarray,
     correction: float,
     gamma: float = 0.0,
 ) -> np.ndarray:
-    """Conservative per-query lower bounds on the shard's estimates.
+    """Conservative ``(query rows, shards)`` lower bounds on the estimates.
 
     Reverse triangle inequality in sketch space: ``||q - b|| >=
-    | ||q|| - ||b|| |``, so with the shard's cached squared-norm range
-    ``[lo, hi]`` every entry of the shard's distance block is at least
+    | ||q|| - ||b|| |``, so with a shard's cached squared-norm range
+    ``[lo, hi]`` every entry of its distance block is at least
     ``gap^2 - correction`` where ``gap = max(0, sqrt(lo) - ||q||,
     ||q|| - sqrt(hi))``.  A relative slack larger than any rounding the
     block arithmetic can accumulate is subtracted, so comparing the
@@ -181,23 +189,25 @@ def _shard_lower_bounds(
     The widened slack is still orders of magnitude below any real
     pruning margin, so skipping power is effectively unchanged.
     """
-    lo, hi = view.norm_bounds()
+    lo, hi = np.array([view.norm_bounds() for view in views], dtype=np.float64).T
+    sq_rows, query_norms = sq_rows[:, np.newaxis], query_norms[:, np.newaxis]
     gap = np.maximum(np.sqrt(lo) - query_norms, query_norms - np.sqrt(hi))
     gap = np.maximum(gap, 0.0)
     slack = _PREFILTER_REL_SLACK * (sq_rows + hi + abs(correction)) + 1e-12
-    if gamma and np.isfinite(hi):
-        slack = slack + 4.0 * gamma * query_norms * np.sqrt(hi)
+    if gamma:
+        reach = np.where(np.isfinite(hi), np.sqrt(hi), 0.0)
+        slack = slack + 4.0 * gamma * query_norms * reach
     return gap * gap - correction - slack
 
 
 class _RunningBest:
-    """Thread-safe per-query record of the best ``k`` estimates so far.
+    """Thread-safe per-row record of the best ``k`` estimates so far.
 
-    Feeds the top-``k`` prefilter: a shard is skippable only when, for
-    *every* query, its lower bound is strictly worse than the current
-    ``k``-th best estimate.  Under parallel execution the record lags
-    behind the serial schedule, which can only make skipping rarer —
-    never wrong.
+    Its :meth:`cutoff` is the top-``k`` pruning threshold: a shard whose
+    lower bound, for every row, is strictly worse than that row's current
+    ``k``-th best cannot contribute.  Under parallel execution the record lags behind
+    the serial schedule, which can only make skipping rarer — never
+    wrong.
     """
 
     def __init__(self, n_queries: int, k: int) -> None:
@@ -205,12 +215,12 @@ class _RunningBest:
         self._lock = threading.Lock()
         self._best = [np.empty(0)] * n_queries
 
-    def skippable(self, bounds: np.ndarray) -> bool:
+    def cutoff(self) -> np.ndarray:
+        """Each row's ``k``-th best estimate (``inf`` before ``k`` are seen)."""
         with self._lock:
-            for best, bound in zip(self._best, bounds):
-                if best.size < self._k or not bound > best[-1]:
-                    return False
-            return True
+            return np.array(
+                [best[-1] if best.size == self._k else np.inf for best in self._best]
+            )
 
     def update(self, per_query_estimates: list[np.ndarray]) -> None:
         with self._lock:
@@ -218,6 +228,50 @@ class _RunningBest:
                 merged = np.concatenate([self._best[q], estimates])
                 merged.sort()
                 self._best[q] = merged[: self._k]
+
+
+class _Scan(NamedTuple):
+    """One query's validated rows over one frozen snapshot."""
+
+    store: ShardedSketchStore
+    rows: np.ndarray  # (n_queries, output_dim) float64
+    sq_rows: np.ndarray
+    views: list[ShardView]  # live views only
+    offsets: np.ndarray  # each view's first column among the live rows
+
+
+class _Block(NamedTuple):
+    """One shard's live estimates, as the driver hands them to a consumer."""
+
+    values: np.ndarray  # (n_queries, live rows of the shard)
+    live: np.ndarray | None  # local row of each column; None: all rows live
+    start: int
+    offset: int  # first column among the snapshot's live rows
+
+    def positions(self, local: np.ndarray) -> np.ndarray:
+        """Global store positions of the block's columns ``local``."""
+        return (local if self.live is None else self.live[local]) + self.start
+
+
+def _rankings(store: ShardedSketchStore, parts: list, n_queries: int, limit=None) -> list:
+    """Merge per-shard ``(positions, estimates)`` candidates, one ranking per row.
+
+    Ties resolve by global position — the order a stable sort over the
+    whole store gives, whichever order the shards were visited in.
+    Ordering is decided on the raw estimates; the *reported* estimate
+    is then clamped (see :func:`repro.core.estimators.clamp_sq_estimates`).
+    """
+    rankings = []
+    for q in range(n_queries):
+        idx = np.concatenate([p[0][q] for p in parts] or [np.empty(0, dtype=np.intp)])
+        est = np.concatenate([p[1][q] for p in parts] or [np.empty(0)])
+        rankings.append(
+            [
+                (store.label(int(idx[i])), estimators.clamp_sq_estimates(float(est[i])))
+                for i in np.lexsort((idx, est))[:limit]
+            ]
+        )
+    return rankings
 
 
 def _shard_stats(
@@ -229,8 +283,8 @@ def _shard_stats(
 
     Row counts are *live* rows — tombstoned rows are not served, so they
     are not reported, matching what a compacted store would say.
-    ``routed_mask`` marks the pruned shards the centroid-routing stage
-    (rather than the norm prefilter) skipped.
+    ``routed_mask`` marks the pruned shards the centroid-ball bound
+    alone rules out.
     """
     rows_total = sum(view.live_size for view in views)
     rows_scanned = sum(
@@ -350,41 +404,19 @@ class DistanceService:
                 )
             return self._pool
 
-    def _run_ordered(self, fn, views: list[ShardView]) -> list:
-        """Apply ``fn`` to every shard view, results in shard order.
+    def _run_ordered(self, fn, items: list) -> list:
+        """Apply ``fn`` to every item, results in input order.
 
         Serial policies stream on the calling thread; parallel policies
         dispatch onto the pool.  Either way the caller receives results
-        ordered by shard, so downstream merges are schedule-independent
+        in input order, so downstream merges are schedule-independent
         (the shared contract of :func:`repro.serving.execution.run_ordered`,
         which the network router reuses over backends).
         """
         pool = (
-            self._executor() if self.policy.parallel and len(views) > 1 else None
+            self._executor() if self.policy.parallel and len(items) > 1 else None
         )
-        return run_ordered(fn, views, executor=pool)
-
-    @staticmethod
-    def _query_rows(query, store: ShardedSketchStore) -> np.ndarray:
-        """Validate a query release against the store, as an ``(m, k)`` matrix.
-
-        Validation runs against the pinned metadata whenever any release
-        has ever been added — including when the store currently holds
-        zero rows — so an incompatible query is always rejected.  Only a
-        store that has never seen a release cannot validate anything.
-        (``store`` is the handler's once-bound store, not ``self.store``
-        — the live-swap contract.)
-        """
-        meta = store.metadata
-        if meta is None:
-            raise ValueError("the index is empty")
-        estimators.check_compatible(meta, query)
-        values = np.asarray(query.values, dtype=np.float64)
-        return values[np.newaxis, :] if values.ndim == 1 else values
-
-    @staticmethod
-    def _correction(store: ShardedSketchStore) -> float:
-        return estimators.sq_distance_correction(store.metadata)
+        return run_ordered(fn, items, executor=pool)
 
     def _scan_gamma(self, store: ShardedSketchStore | None = None) -> float:
         """The store's GEMM accumulation envelope for prefilter slack.
@@ -398,33 +430,93 @@ class DistanceService:
         store = self.store if store is None else store
         return accumulation_gamma(store.storage, store.metadata.output_dim)
 
-    def _routing_for(self, store: ShardedSketchStore, views: list[ShardView], spec):
-        """The routing table valid for this exact snapshot, or ``None``.
+    # -- the scan driver -----------------------------------------------------
 
-        Revalidates the store's table against the *frozen* snapshot's
-        per-view sizes — a concurrent append between the table read and
-        the snapshot can therefore never pair fresh rows with stale
-        ball geometry.  ``spec`` is the query's
-        :class:`~repro.serving.queries.RoutingSpec` (or ``None``): an
-        explicit ``nprobe`` request on a store without a fresh table
-        raises (the recall contract cannot be honoured), while exact
-        mode silently degrades to an unrouted scan, which is always
-        correct.  With routing disabled by policy and no explicit spec,
-        returns ``None`` without touching the table.
+    def _freeze(self, release) -> _Scan:
+        """Validate a query release and freeze one snapshot to scan it against.
+
+        Validation runs against the pinned metadata whenever any release
+        has ever been added — including when the store currently holds
+        zero rows — so an incompatible query is always rejected.  Only a
+        store that has never seen a release cannot validate anything.
+        ``self.store`` is read exactly once (the live-swap contract).
         """
-        nprobe = None if spec is None else spec.nprobe
-        if not self.policy.routing and spec is None:
-            return None
-        routing = store.routing
-        if routing is not None and not routing.matches([v.size for v in views]):
-            routing = None
-        if routing is None and nprobe is not None:
-            raise ValueError(
-                "this query requests nprobe routing but the store has no "
-                "routing table for its current layout; rebuild one with "
-                "compact(routing=True) or StoreMaintainer.rebuild_routing()"
+        store = self.store
+        meta = store.metadata
+        if meta is None:
+            raise ValueError("the index is empty")
+        estimators.check_compatible(meta, release)
+        rows = np.asarray(release.values, dtype=np.float64)
+        rows = rows[np.newaxis, :] if rows.ndim == 1 else rows
+        views = [v for v in store.snapshot() if v.live_size]
+        offsets = np.cumsum([0] + [view.live_size for view in views])
+        return _Scan(store, rows, np.einsum("ij,ij->i", rows, rows), views, offsets)
+
+    def _bounds(self, scan: _Scan, correction: float):
+        """``(combined, centroid-ball)`` lower-bound matrices, either ``None``.
+
+        The combined bound is the larger of the two stages the policy
+        enables.  The centroid-ball stage needs a routing table that
+        matches this exact snapshot's per-view sizes — a concurrent
+        append between the table read and the snapshot can therefore
+        never pair fresh rows with stale ball geometry.
+        """
+        views, store = scan.views, scan.store
+        if not views:
+            return None, None
+        query_norms = np.sqrt(scan.sq_rows)
+        gamma = self._scan_gamma(store)
+        routing = store.routing if self.policy.routing else None
+        route = None
+        if routing is not None and routing.matches([v.size for v in views]):
+            route = routing.lower_bounds(
+                scan.rows, scan.sq_rows, query_norms, correction, gamma
             )
-        return routing
+        if not self.policy.prefilter:
+            return route, route
+        bounds = _shard_lower_bounds(views, scan.sq_rows, query_norms, correction, gamma)
+        return (bounds if route is None else np.fmax(bounds, route)), route
+
+    def _visit(self, scan: _Scan, take, cutoff=None) -> tuple[list, QueryStats]:
+        """Hand every shard's live block to ``take``, best shard first.
+
+        ``cutoff()`` returns the current per-row threshold an estimate
+        must not exceed to matter; a shard whose bound is strictly above
+        it for every row is skipped.  Without a cutoff no bounds are
+        computed and the shards run in storage order.  Returns the
+        non-``None`` results of ``take`` (in visit order) and the stats.
+        """
+        views = scan.views
+        correction = estimators.sq_distance_correction(scan.store.metadata)
+        bounds, route = (None, None) if cutoff is None else self._bounds(scan, correction)
+        order = np.arange(len(views))
+        if bounds is not None:
+            order = np.argsort(bounds.min(axis=0, initial=np.inf), kind="stable")
+        scanned = [True] * len(views)
+        routed = [False] * len(views)
+
+        def visit(i):
+            view = views[i]
+            if bounds is not None:
+                limit = cutoff()
+                if np.all(bounds[:, i] > limit):
+                    scanned[i] = False
+                    routed[i] = route is not None and bool(np.all(route[:, i] > limit))
+                    return None
+            # the block covers every physical row — dead entries are
+            # dropped after the fact, keeping survivors bit-identical
+            values = estimators.cross_sq_distances_from_parts(
+                scan.rows, scan.sq_rows, view.values, view.sq_norms, correction
+            )
+            live = None
+            if view.dead is not None:
+                live = view.live_local()
+                values = values[:, live]
+            return take(_Block(values, live, view.start, int(scan.offsets[i])))
+
+        results = self._run_ordered(visit, order.tolist())
+        parts = [r for r in results if r is not None]
+        return parts, _shard_stats(views, scanned, routed)
 
     # -- the one entry point -------------------------------------------------
 
@@ -467,201 +559,42 @@ class DistanceService:
     # -- per-kind executors --------------------------------------------------
 
     def _execute_top_k(self, query: TopKQuery) -> tuple[list, QueryStats]:
-        store = self.store  # bound once: a swap mid-query is invisible
         k = query.k
-        rows = self._query_rows(query.queries, store)
-        views = [v for v in store.snapshot() if v.live_size]
-        n_queries = rows.shape[0]
-        if not views:
-            return [[] for _ in range(n_queries)], QueryStats()
-        sq_rows = np.einsum("ij,ij->i", rows, rows)
-        query_norms = np.sqrt(sq_rows)
-        correction = self._correction(store)
-        gamma = self._scan_gamma(store)
-        routing = self._routing_for(store, views, query.routing)
-        nprobe = None if query.routing is None else query.routing.nprobe
-        routed = [False] * len(views)
-        if nprobe is not None:
-            # approximate mode: only the nprobe nearest-centroid shards
-            # (union over query rows) are even eligible for scanning
-            probe = set(routing.probe_shards(rows, sq_rows, nprobe).tolist())
-            scan_items = [(i, views[i]) for i in sorted(probe)]
-            for i in range(len(views)):
-                routed[i] = i not in probe
-            route_bounds = None
-        else:
-            scan_items = list(enumerate(views))
-            # exact mode: one (n_queries, n_shards) bound matrix up
-            # front; a shard is skipped only when the centroid-ball
-            # bound *proves* it cannot beat the current k-th candidate
-            route_bounds = (
-                routing.lower_bounds(rows, sq_rows, query_norms, correction, gamma)
-                if routing is not None
-                else None
-            )
-        prefilter = self.policy.prefilter
-        running = (
-            _RunningBest(n_queries, k)
-            if prefilter or route_bounds is not None
-            else None
-        )
+        scan = self._freeze(query.queries)
+        best = _RunningBest(scan.rows.shape[0], k)
 
-        def scan(item):
-            i, view = item
-            if running is not None:
-                if route_bounds is not None and running.skippable(
-                    route_bounds[:, i]
-                ):
-                    routed[i] = True
-                    return None
-                if prefilter and running.skippable(
-                    _shard_lower_bounds(view, sq_rows, query_norms, correction, gamma)
-                ):
-                    return None
-            # the block covers every physical row — dead entries are
-            # dropped after the fact, keeping survivors bit-identical
-            block = estimators.cross_sq_distances_from_parts(
-                rows, sq_rows, view.values, view.sq_norms, correction
-            )
-            live = None if view.dead is None else view.live_local()
-            winners_idx, winners_est = [], []
-            for q in range(n_queries):
-                estimates = block[q] if live is None else block[q][live]
-                winners = stable_smallest_k(estimates, k)
-                winners_idx.append(
-                    (winners if live is None else live[winners]) + view.start
-                )
-                winners_est.append(estimates[winners])
-            if running is not None:
-                running.update(winners_est)
-            return winners_idx, winners_est
+        def take(block: _Block):
+            winners = [stable_smallest_k(row, k) for row in block.values]
+            estimates = [row[w] for row, w in zip(block.values, winners)]
+            best.update(estimates)
+            return [block.positions(w) for w in winners], estimates
 
-        per_shard = self._run_ordered(scan, scan_items)
-        scanned = [False] * len(views)
-        for (i, _), result in zip(scan_items, per_shard):
-            scanned[i] = result is not None
-        candidates = [c for c in per_shard if c is not None]
-        results = []
-        for q in range(n_queries):
-            idx = np.concatenate(
-                [c[0][q] for c in candidates] or [np.empty(0, dtype=np.intp)]
-            )
-            est = np.concatenate([c[1][q] for c in candidates] or [np.empty(0)])
-            # ties across shards resolve by global position — the same
-            # order a stable sort over the full concatenated row gives;
-            # ordering is decided on the raw estimates, the *reported*
-            # estimate is then clamped (see estimators.clamp_sq_estimates)
-            order = np.lexsort((idx, est))[:k]
-            results.append(
-                [
-                    (
-                        store.label(int(idx[i])),
-                        estimators.clamp_sq_estimates(float(est[i])),
-                    )
-                    for i in order
-                ]
-            )
-        return results, _shard_stats(views, scanned, routed)
+        parts, stats = self._visit(scan, take, best.cutoff)
+        return _rankings(scan.store, parts, scan.rows.shape[0], k), stats
 
     def _execute_radius(self, query: RadiusQuery) -> tuple[list, QueryStats]:
-        store = self.store  # bound once: a swap mid-query is invisible
         radius_sq = query.radius_sq
-        rows = self._query_rows(query.query, store)
-        if rows.shape[0] != 1:
+        scan = self._freeze(query.query)
+        if scan.rows.shape[0] != 1:
             raise ValueError("radius queries take a single sketch")
-        views = [v for v in store.snapshot() if v.live_size]
-        if not views:
-            return [], QueryStats()
-        sq_rows = np.einsum("ij,ij->i", rows, rows)
-        query_norms = np.sqrt(sq_rows)
-        correction = self._correction(store)
-        gamma = self._scan_gamma(store)
-        routing = self._routing_for(store, views, query.routing)
-        nprobe = None if query.routing is None else query.routing.nprobe
-        routed = [False] * len(views)
-        if nprobe is not None:
-            probe = set(routing.probe_shards(rows, sq_rows, nprobe).tolist())
-            scan_items = [(i, views[i]) for i in sorted(probe)]
-            for i in range(len(views)):
-                routed[i] = i not in probe
-            route_bounds = None
-        else:
-            scan_items = list(enumerate(views))
-            route_bounds = (
-                routing.lower_bounds(rows, sq_rows, query_norms, correction, gamma)
-                if routing is not None
-                else None
-            )
-        prefilter = self.policy.prefilter
 
-        def scan(item):
-            i, view = item
-            # against a fixed radius the centroid-ball bound is usable
-            # immediately — no running best to warm up first
-            if route_bounds is not None and route_bounds[0, i] > radius_sq:
-                routed[i] = True
-                return None
-            if prefilter:
-                bound = _shard_lower_bounds(
-                    view, sq_rows, query_norms, correction, gamma
-                )
-                if bound[0] > radius_sq:
-                    return None
-            block = estimators.cross_sq_distances_from_parts(
-                rows, sq_rows, view.values, view.sq_norms, correction
-            )[0]
-            if view.dead is not None:
-                live = view.live_local()
-                block = block[live]
-                hits = np.flatnonzero(block <= radius_sq)
-                return live[hits] + view.start, block[hits]
-            hits = np.flatnonzero(block <= radius_sq)
-            return hits + view.start, block[hits]
+        def take(block: _Block):
+            hits = np.flatnonzero(block.values[0] <= radius_sq)
+            return [block.positions(hits)], [block.values[0][hits]]
 
-        per_shard = self._run_ordered(scan, scan_items)
-        scanned = [False] * len(views)
-        for (i, _), result in zip(scan_items, per_shard):
-            scanned[i] = result is not None
-        stats = _shard_stats(views, scanned, routed)
-        hits = [r for r in per_shard if r is not None]
-        if not hits:
-            return [], stats
-        idx = np.concatenate([r[0] for r in hits])
-        est = np.concatenate([r[1] for r in hits])
-        order = np.lexsort((idx, est))
-        payload = [
-            (
-                store.label(int(idx[i])),
-                estimators.clamp_sq_estimates(float(est[i])),
-            )
-            for i in order
-        ]
-        return payload, stats
+        parts, stats = self._visit(scan, take, lambda: radius_sq)
+        return _rankings(scan.store, parts, 1)[0], stats
 
     def _execute_cross(self, query: CrossQuery) -> tuple[np.ndarray, QueryStats]:
-        store = self.store  # bound once: a swap mid-query is invisible
-        rows = self._query_rows(query.queries, store)
-        views = [v for v in store.snapshot() if v.live_size]
-        sq_rows = np.einsum("ij,ij->i", rows, rows)
-        correction = self._correction(store)
+        scan = self._freeze(query.queries)
         # columns cover live rows only, in store order — the exact matrix
         # a compacted (tombstone-free) store would serve
-        offsets = np.concatenate(
-            ([0], np.cumsum([view.live_size for view in views]))
-        ).astype(np.intp)
-        out = np.empty((rows.shape[0], int(offsets[-1])))
+        out = np.empty((scan.rows.shape[0], int(scan.offsets[-1])))
 
-        def scan(item):
-            view, offset = item
-            block = estimators.cross_sq_distances_from_parts(
-                rows, sq_rows, view.values, view.sq_norms, correction
-            )
-            if view.dead is not None:
-                block = block[:, view.live_local()]
-            out[:, offset : offset + view.live_size] = block
+        def take(block: _Block) -> None:
+            out[:, block.offset : block.offset + block.values.shape[1]] = block.values
 
-        self._run_ordered(scan, list(zip(views, offsets)))
-        return out, _shard_stats(views, [True] * len(views))
+        return out, self._visit(scan, take)[1]
 
     def _execute_pairwise(self, query: PairwiseQuery) -> tuple[np.ndarray, QueryStats]:
         store = self.store  # bound once: a swap mid-query is invisible

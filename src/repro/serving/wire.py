@@ -28,7 +28,9 @@ everything::
   remote backend surfaces the *same* exception class a local
   :meth:`~repro.serving.service.DistanceService.execute` would raise.
 
-Anything malformed — not JSON, wrong ``format`` tag, an unknown kind,
+Fields a query kind does not define are ignored, so a query envelope
+from an older peer that still sends a ``routing`` object decodes to the
+exact query.  Anything malformed — not JSON, wrong ``format`` tag, an unknown kind,
 a truncated embedded blob — raises :class:`WireError`.  A version
 other than :data:`WIRE_VERSION` is rejected up front: the envelope is
 versioned precisely so future revisions can evolve the schema without
@@ -54,7 +56,6 @@ from repro.serving.queries import (
     QueryResult,
     QueryStats,
     RadiusQuery,
-    RoutingSpec,
     TopKQuery,
 )
 from repro.serving.serialization import (
@@ -195,18 +196,12 @@ def _query_body(query) -> dict:
             f"got {type(query).__name__}"
         )
     if isinstance(query, TopKQuery):
-        body = {"k": query.k, "release": _encode_release(query.queries)}
-        if query.routing is not None:
-            body["routing"] = {"nprobe": query.routing.nprobe}
-        return body
+        return {"k": query.k, "release": _encode_release(query.queries)}
     if isinstance(query, RadiusQuery):
-        body = {
+        return {
             "radius_sq": _encode_float(query.radius_sq),  # inf is a legal radius
             "release": _encode_release(query.query),
         }
-        if query.routing is not None:
-            body["routing"] = {"nprobe": query.routing.nprobe}
-        return body
     if isinstance(query, CrossQuery):
         return {"release": _encode_release(query.queries)}
     if isinstance(query, PairwiseQuery):
@@ -249,16 +244,6 @@ def decode_queries(blob: bytes) -> list:
     return [_parse_query(_check_envelope(env, "query")) for env in envelopes]
 
 
-def _decode_routing(spec) -> RoutingSpec | None:
-    if spec is None:
-        return None
-    if not isinstance(spec, dict):
-        raise WireError(f"malformed routing spec {spec!r}: expected an object")
-    # RoutingSpec validates nprobe itself; a bad value raises ValueError
-    # from the constructor, the same failure a local caller would see
-    return RoutingSpec(nprobe=spec.get("nprobe"))
-
-
 def _parse_query(envelope: dict):
     kind = envelope.get("query")
     cls = _QUERY_BY_KIND.get(kind)
@@ -272,13 +257,11 @@ def _parse_query(envelope: dict):
             return TopKQuery(
                 queries=_decode_release(envelope["release"]),
                 k=envelope["k"],
-                routing=_decode_routing(envelope.get("routing")),
             )
         if cls is RadiusQuery:
             return RadiusQuery(
                 query=_decode_release(envelope["release"]),
                 radius_sq=_decode_float(envelope["radius_sq"]),
-                routing=_decode_routing(envelope.get("routing")),
             )
         if cls is CrossQuery:
             return CrossQuery(queries=_decode_release(envelope["release"]))

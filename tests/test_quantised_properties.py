@@ -214,13 +214,15 @@ class TestPrefilterExactOverQuantisedShards:
             block = service.execute(CrossQuery(queries=released)).payload[0]
             rows = np.asarray(released.values, dtype=np.float64)
             sq_rows = np.einsum("ij,ij->i", rows, rows)
+            views = store.snapshot()
+            assert len(views) == 1
             bound = _shard_lower_bounds(
-                store.snapshot()[0],
+                views,
                 sq_rows,
                 np.sqrt(sq_rows),
                 estimators.sq_distance_correction(store.metadata),
                 service._scan_gamma(),
-            )[0]
+            )[0, 0]
             assert block.min() >= bound, (
                 f"prefilter bound {bound} above computed estimate "
                 f"{block.min()} (seed {seed}, scale {scale})"

@@ -1,13 +1,12 @@
-"""Tests for IVF-style centroid shard routing.
+"""Tests for centroid shard routing and best-first shard visiting.
 
-The load-bearing guarantee is *exact-mode bit-identity*: a routed query
-must return byte-for-byte the answer an unrouted scan returns, ties
+The load-bearing guarantee is *bit-identity*: a routed query must
+return byte-for-byte the answer an unrouted scan returns, ties
 included, on any store — including adversarial geometries (near
-collinear rows, exact duplicates straddling shard boundaries) where a
-sloppy bound would prune a true neighbour.  ``nprobe`` mode is the
-explicit recall trade and is tested for its contract instead: the
-probed set is exactly the nearest-centroid shards, and a routing-less
-store refuses the spec loudly.
+collinear rows, exact duplicates straddling shard boundaries) and
+multi-row batches, where a sloppy bound would prune a true neighbour.
+Best-first visiting is tested for the work it saves: a query next to
+one cluster scans that cluster and nothing else.
 
 Staleness is the second contract: a routing table describes exactly one
 shard layout, and any append, delete, or re-compact must stop it being
@@ -15,19 +14,21 @@ used before the mutation can be observed.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import estimators
 from repro.core.sketch import PrivateSketcher, SketchConfig
 from repro.serving import (
+    CrossQuery,
     DistanceService,
     ExecutionPolicy,
     MaintenancePolicy,
     RadiusQuery,
-    RoutingSpec,
     ShardRouting,
     ShardedSketchStore,
     StoreMaintainer,
@@ -45,6 +46,7 @@ from repro.serving.serialization import (
     read_routing_blob,
     write_routing_blob,
 )
+from repro.serving.service import _shard_lower_bounds
 
 _CONFIG = SketchConfig(input_dim=48, epsilon=6.0, output_dim=24, sparsity=4, seed=11)
 
@@ -88,6 +90,29 @@ def _assert_bit_identical(store, query_batch, k=10):
     return r, u
 
 
+def _record_scans(monkeypatch, store):
+    """The store's live views, and a list the kernel appends each scanned
+    view's index to, in scan order."""
+    views = [v for v in store.snapshot() if v.live_size]
+    scanned = []
+    real = estimators.cross_sq_distances_from_parts
+
+    def recorded(rows, sq_rows, values, *args, **kwargs):
+        scanned.extend(
+            i for i, view in enumerate(views) if np.shares_memory(view.values, values)
+        )
+        return real(rows, sq_rows, values, *args, **kwargs)
+
+    monkeypatch.setattr("repro.core.estimators.cross_sq_distances_from_parts", recorded)
+    return views, scanned
+
+
+def _full_scan(store):
+    return DistanceService(
+        store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
+    )
+
+
 class TestKMeans:
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(0)
@@ -121,23 +146,6 @@ class TestKMeans:
         assert default_cluster_count(0, 64) == 1
         assert default_cluster_count(64, 64) == 1
         assert default_cluster_count(65, 64) == 2
-
-
-class TestRoutingSpec:
-    def test_rejects_non_integral_nprobe(self):
-        for bad in (True, 1.5, "2"):
-            with pytest.raises(ValueError):
-                RoutingSpec(nprobe=bad)
-        with pytest.raises(ValueError):
-            RoutingSpec(nprobe=0)
-
-    def test_queries_validate_routing(self):
-        sk = _sketcher()
-        q = _query(sk, np.zeros(48))
-        with pytest.raises(ValueError, match="RoutingSpec"):
-            TopKQuery(queries=q, k=1, routing={"nprobe": 2})
-        with pytest.raises(ValueError, match="RoutingSpec"):
-            RadiusQuery(query=q, radius_sq=1.0, routing=3)
 
 
 class TestExactModeBitIdentity:
@@ -250,64 +258,201 @@ class TestNeverPrunesTrueTopK:
             assert (bounds[:, i] <= true_est.min(axis=1) + 1e-12).all()
 
 
-class TestNprobe:
-    def test_visits_exactly_the_probed_shards(self):
+class TestBestFirstVisiting:
+    def test_query_next_to_a_centre_scans_one_cluster(self):
+        # each input cluster holds 150 rows; the shards nearest the
+        # query come first, fill the top-10 with its own cluster's rows,
+        # and that cutoff then proves every other cluster hopeless
         sk = _sketcher()
         store, centers = _clustered_store(sk)
-        svc = DistanceService(store)
-        q = _query(sk, centers[0])
-        r = svc.execute(TopKQuery(queries=q, k=5, routing=RoutingSpec(nprobe=2)))
-        assert r.stats.shards_visited <= 2
-        assert r.stats.shards_visited + r.stats.shards_pruned == store.n_shards
-        assert r.stats.shards_routed >= store.n_shards - 2
-
-    def test_full_nprobe_recovers_exact_answer(self):
-        sk = _sketcher()
-        store, centers = _clustered_store(sk)
-        svc = DistanceService(store)
-        q = _query(sk, centers[3])
-        exact = svc.execute(TopKQuery(queries=q, k=10))
-        full = svc.execute(
-            TopKQuery(queries=q, k=10, routing=RoutingSpec(nprobe=store.n_shards))
+        bounded = DistanceService(store, policy=ExecutionPolicy(workers=1))
+        full = DistanceService(
+            store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
         )
-        assert exact.payload == full.payload
+        for c in centers:
+            query = TopKQuery(queries=_query(sk, c), k=10)
+            r = bounded.execute(query)
+            assert r.payload == full.execute(query).payload
+            assert r.stats.rows_scanned <= 150
+            assert r.stats.shards_routed > 0
 
-    def test_high_recall_on_clustered_data(self):
+    def test_shards_run_in_ascending_order_of_least_bound(self, monkeypatch):
+        # a two-row batch near two different centres: the least bound of
+        # a shard is its bound for whichever row it is closer to
         sk = _sketcher()
         store, centers = _clustered_store(sk)
-        svc = DistanceService(store)
-        q = _query(sk, centers[2])
-        exact = {l for l, _ in svc.execute(TopKQuery(queries=q, k=10)).payload[0]}
-        # the default cluster count splits each of the 5 input clusters
-        # over ~2-3 shards, so probing 4 shards covers a neighbourhood
-        probed = {
-            l
-            for l, _ in svc.execute(
-                TopKQuery(queries=q, k=10, routing=RoutingSpec(nprobe=4))
-            ).payload[0]
-        }
-        assert len(exact & probed) / 10 >= 0.9
+        queries = sk.sketch_batch(centers[[1, 3]], noise_rng=2)
+        svc = DistanceService(store, policy=ExecutionPolicy(workers=1))
+        views, scanned = _record_scans(monkeypatch, store)
+        r = svc.execute(TopKQuery(queries=queries, k=10))
+        rows = np.asarray(queries.values, dtype=np.float64)
+        sq_rows = np.einsum("ij,ij->i", rows, rows)
+        bound_args = (
+            sq_rows,
+            np.sqrt(sq_rows),
+            estimators.sq_distance_correction(store.metadata),
+            svc._scan_gamma(),
+        )
+        least = np.fmax(
+            _shard_lower_bounds(views, *bound_args),
+            store.routing.lower_bounds(rows, *bound_args),
+        ).min(axis=0)
+        assert len(scanned) == r.stats.shards_visited < len(views)
+        assert scanned[0] == int(np.argmin(least))
+        assert np.all(np.diff(least[scanned]) >= 0)
 
-    def test_routingless_store_rejects_nprobe(self):
+    def test_radius_next_to_a_centre_scans_one_cluster(self):
+        # a fixed radius at the 10th-best estimate prunes at least what
+        # top-10's final cutoff prunes: only the query's own cluster
         sk = _sketcher()
-        store = ShardedSketchStore(shard_capacity=32)
-        store.add_batch(sk.sketch_batch(np.ones((50, 48)), noise_rng=1))
-        svc = DistanceService(store)
-        with pytest.raises(ValueError, match="no .*routing"):
-            svc.execute(
-                TopKQuery(queries=_query(sk, np.ones(48)), k=3, routing=RoutingSpec(nprobe=1))
+        store, centers = _clustered_store(sk)
+        bounded = DistanceService(store, policy=ExecutionPolicy(workers=1))
+        full = _full_scan(store)
+        for c in centers:
+            q = _query(sk, c)
+            radius_sq = full.execute(TopKQuery(queries=q, k=10)).payload[0][-1][1]
+            query = RadiusQuery(query=q, radius_sq=radius_sq)
+            r = bounded.execute(query)
+            assert r.payload == full.execute(query).payload
+            assert len(r.payload) >= 10
+            assert r.stats.rows_scanned <= 150
+
+    def test_k_beyond_the_store_scans_every_shard(self):
+        # the running k-th best stays infinite until k estimates are in,
+        # so a k the store cannot fill prunes nothing, in any order
+        sk = _sketcher()
+        store, centers = _clustered_store(sk)
+        query = TopKQuery(queries=_query(sk, centers[0]), k=len(store) + 1)
+        r = DistanceService(store, policy=ExecutionPolicy(workers=1)).execute(query)
+        assert r.payload == _full_scan(store).execute(query).payload
+        assert len(r.payload[0]) == len(store)
+        assert (r.stats.shards_visited, r.stats.shards_pruned) == (store.n_shards, 0)
+
+
+class TestCrossHasNoCutoff:
+    def test_cross_scans_every_shard_in_storage_order(self, monkeypatch):
+        # a cross matrix needs every column: even on a routed store the
+        # driver computes no bound, and each block lands at its offset
+        sk = _sketcher()
+        store, centers = _clustered_store(sk)
+        queries = sk.sketch_batch(centers[:3], noise_rng=2)
+
+        def no_bounds(*args, **kwargs):
+            raise AssertionError("a cross query computed a shard bound")
+
+        monkeypatch.setattr("repro.serving.service._shard_lower_bounds", no_bounds)
+        monkeypatch.setattr(ShardRouting, "lower_bounds", no_bounds)
+        views, scanned = _record_scans(monkeypatch, store)
+        r = DistanceService(store, policy=ExecutionPolicy(workers=1)).execute(
+            CrossQuery(queries=queries)
+        )
+        assert scanned == list(range(len(views)))
+        rows = np.asarray(queries.values, dtype=np.float64)
+        sq_rows = np.einsum("ij,ij->i", rows, rows)
+        correction = estimators.sq_distance_correction(store.metadata)
+        blocks = [
+            estimators.cross_sq_distances_from_parts(
+                rows, sq_rows, view.values, view.sq_norms, correction
             )
-
-    def test_radius_nprobe(self):
-        sk = _sketcher()
-        store, centers = _clustered_store(sk)
-        svc = DistanceService(store)
-        q = _query(sk, centers[1])
-        exact = svc.execute(RadiusQuery(query=q, radius_sq=50.0))
-        probed = svc.execute(
-            RadiusQuery(query=q, radius_sq=50.0, routing=RoutingSpec(nprobe=store.n_shards))
+            for view in views
+        ]
+        np.testing.assert_array_equal(r.payload, np.concatenate(blocks, axis=1))
+        stats = r.stats
+        assert (stats.shards_visited, stats.shards_pruned, stats.shards_routed) == (
+            store.n_shards,
+            0,
+            0,
         )
-        assert exact.payload == probed.payload
+
+
+class TestCombinedBound:
+    def test_only_the_larger_bound_rules_the_spokes_out(self):
+        # three shards of sketch rows: A near the origin, B near -s * e0
+        # and C, eight spokes of length 60 around 50 * e0, orthogonal to
+        # e0 — every row of C has squared norm 50^2 + 60^2 = s^2, and
+        # C's ball (radius 60) holds the origin.  Query row 0 sits on A:
+        # the ball cannot rule C out for it, the norm bound can.  Row 1
+        # sits on B, at C's norm: the norm bound cannot, the ball can.
+        # Only the larger of the two rules C out for the whole batch,
+        # so C counts as pruned, not routed.
+        template = _sketcher().sketch_batch(np.zeros((1, 48)), noise_rng=0)[0:0]
+        eye = np.eye(24)
+        near_b = -np.sqrt(6100.0) * eye[0]
+        spokes = 50.0 * eye[0] + 60.0 * np.concatenate([eye[1:5], -eye[1:5]])
+        jitter = np.random.default_rng(0).normal(size=(2, 8, 24)) * 0.01
+        rows = np.concatenate([jitter[0], near_b + jitter[1], spokes])
+        store = ShardedSketchStore(shard_capacity=8, storage="f8")
+        store.add_batch(dataclasses.replace(template, values=rows))
+        # a table for exactly this layout: k-means would split the spokes
+        store._routing = build_shard_routing(store.snapshot())
+        assert store.routing is not None
+        query = TopKQuery(
+            queries=dataclasses.replace(
+                template, values=np.stack([np.zeros(24), near_b])
+            ),
+            k=2,
+        )
+        results = {
+            (prefilter, routing): DistanceService(
+                store,
+                policy=ExecutionPolicy(workers=1, prefilter=prefilter, routing=routing),
+            ).execute(query)
+            for prefilter in (False, True)
+            for routing in (False, True)
+        }
+        want = results[False, False].payload
+        assert all(r.payload == want for r in results.values())
+        assert results[True, False].stats.shards_pruned == 0
+        assert results[False, True].stats.shards_pruned == 0
+        both = results[True, True].stats
+        assert (both.shards_visited, both.shards_pruned, both.shards_routed) == (2, 1, 0)
+
+
+class TestBoundedScanMatchesFullScan:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_centers=st.integers(min_value=1, max_value=5),
+        scale=st.floats(min_value=0.0, max_value=12.0),
+        capacity=st.integers(min_value=4, max_value=48),
+        n_queries=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=1, max_value=12),
+        storage=st.sampled_from(["f8", "f4"]),
+        workers=st.sampled_from([1, 4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_row_batches(
+        self, seed, n_centers, scale, capacity, n_queries, k, storage, workers
+    ):
+        # multi-row batches are where the larger of the two bounds can
+        # prune a shard that neither bound prunes alone: each can spare
+        # a different query row.  Answers must not notice either way.
+        sk = _sketcher()
+        rng = np.random.default_rng(seed)
+        centers = rng.normal(size=(n_centers, 48)) * scale
+        data = centers[rng.integers(n_centers, size=120)] + rng.normal(size=(120, 48))
+        store = ShardedSketchStore(shard_capacity=capacity, storage=storage)
+        store.add_batch(sk.sketch_batch(data, noise_rng=seed))
+        store.compact(routing=True, routing_seed=seed)
+        assert store.routing is not None
+        near = centers[rng.integers(n_centers, size=n_queries)]
+        queries = sk.sketch_batch(
+            near + rng.normal(size=(n_queries, 48)) * 0.5, noise_rng=seed + 1
+        )
+        full = DistanceService(
+            store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
+        )
+        top = TopKQuery(queries=queries, k=k)
+        want_top = full.execute(top)
+        radius_sq = want_top.payload[0][-1][1]
+        radius = RadiusQuery(query=queries.row(0), radius_sq=radius_sq)
+        with DistanceService(store, policy=ExecutionPolicy(workers=workers)) as bounded:
+            for query, want in ((top, want_top), (radius, full.execute(radius))):
+                got = bounded.execute(query)
+                assert got.payload == want.payload
+                stats = got.stats
+                assert stats.shards_visited + stats.shards_pruned == store.n_shards
+                assert stats.shards_routed <= stats.shards_pruned
+                assert want.stats.shards_pruned == 0
 
 
 class TestStaleness:
@@ -317,16 +462,10 @@ class TestStaleness:
         assert store.routing is not None
         store.add_batch(sk.sketch_batch(centers[:1], noise_rng=9))
         assert store.routing is None
-        # exact queries silently fall back; nprobe refuses
+        # queries silently fall back to the norm bound alone
         svc = DistanceService(store)
         r = svc.execute(TopKQuery(queries=_query(sk, centers[0]), k=3))
         assert r.stats.shards_routed == 0
-        with pytest.raises(ValueError, match="no .*routing"):
-            svc.execute(
-                TopKQuery(
-                    queries=_query(sk, centers[0]), k=3, routing=RoutingSpec(nprobe=1)
-                )
-            )
 
     def test_delete_invalidates(self):
         sk = _sketcher()
@@ -408,22 +547,22 @@ class TestPersistence:
 
 
 class TestWire:
-    def test_routing_spec_roundtrips(self):
+    def test_legacy_routing_key_is_ignored(self):
+        # an older peer may still send a routing object; it decodes to
+        # the exact query, whose answer equals the one sent without it
         sk = _sketcher()
-        q = _query(sk, np.zeros(48))
+        store, centers = _clustered_store(sk)
+        q = _query(sk, centers[0])
         for query in (
-            TopKQuery(queries=q, k=3, routing=RoutingSpec(nprobe=4)),
-            RadiusQuery(query=q, radius_sq=2.0, routing=RoutingSpec(nprobe=1)),
+            TopKQuery(queries=q, k=3),
+            RadiusQuery(query=q, radius_sq=50.0),
         ):
-            decoded = decode_query(encode_query(query))
-            assert decoded.routing == query.routing
-
-    def test_absent_spec_stays_absent(self):
-        sk = _sketcher()
-        q = _query(sk, np.zeros(48))
-        encoded = encode_query(TopKQuery(queries=q, k=3))
-        assert b'"routing"' not in encoded
-        assert decode_query(encoded).routing is None
+            envelope = json.loads(encode_query(query))
+            assert "routing" not in envelope
+            envelope["routing"] = {"nprobe": 1}
+            decoded = decode_query(json.dumps(envelope).encode())
+            svc = DistanceService(store)
+            assert svc.execute(decoded).payload == svc.execute(query).payload
 
     def test_stats_field_roundtrips(self):
         from repro.serving.wire import decode_result, encode_result
@@ -512,13 +651,31 @@ class TestStatsInvariants:
         q = _query(sk, centers[0])
         for query in (
             TopKQuery(queries=q, k=5),
-            TopKQuery(queries=q, k=5, routing=RoutingSpec(nprobe=2)),
             RadiusQuery(query=q, radius_sq=100.0),
-            RadiusQuery(query=q, radius_sq=100.0, routing=RoutingSpec(nprobe=3)),
         ):
             stats = DistanceService(store).execute(query).stats
             assert stats.shards_visited + stats.shards_pruned == store.n_shards
             assert stats.shards_routed <= stats.shards_pruned
+
+    def test_routed_counts_what_the_ball_bound_alone_prunes(self):
+        # with the norm bound off every skip is the ball's; with the
+        # ball off none is
+        sk = _sketcher()
+        store, centers = _clustered_store(sk)
+        q = _query(sk, centers[0])
+        ball_only = DistanceService(
+            store, policy=ExecutionPolicy(workers=1, prefilter=False)
+        )
+        norm_only = DistanceService(
+            store, policy=ExecutionPolicy(workers=1, routing=False)
+        )
+        for query in (
+            TopKQuery(queries=q, k=5),
+            RadiusQuery(query=q, radius_sq=100.0),
+        ):
+            ball = ball_only.execute(query).stats
+            assert ball.shards_routed == ball.shards_pruned > 0
+            assert norm_only.execute(query).stats.shards_routed == 0
 
     def test_shards_routed_in_as_dict(self):
         from repro.serving import QueryStats

@@ -241,6 +241,25 @@ class TestNormBoundPrefilter:
                 off, queries.row(0), cutoff
             )
 
+    def test_bound_matrix_columns_match_single_shard_calls(self):
+        # the norm bound is computed for all shards at once: column i,
+        # for every query row, is exactly what shard i alone would get
+        from repro.serving.service import _shard_lower_bounds
+
+        sk = _sketcher()
+        store, _ = _norm_separated_store(sk)
+        views = store.snapshot()
+        scales = np.array([[1.0], [1e3], [1e6]])  # inside, between, beyond shards
+        rows = np.random.default_rng(3).normal(size=(3, 64)) * scales
+        sq_rows = np.einsum("ij,ij->i", rows, rows)
+        bound_args = (sq_rows, np.sqrt(sq_rows), 2.5, 1e-6)
+        matrix = _shard_lower_bounds(views, *bound_args)
+        assert matrix.shape == (3, len(views))
+        for i, view in enumerate(views):
+            np.testing.assert_array_equal(
+                matrix[:, i], _shard_lower_bounds([view], *bound_args)[:, 0]
+            )
+
 
 class TestConcurrentAppendsDuringQueries:
     def test_readers_see_consistent_prefixes(self):
