@@ -14,16 +14,23 @@ same deterministic arithmetic whatever thread runs it, and the merge
 ranks candidates by estimate, then global position, regardless of
 completion order.
 
-**BLAS threads compose multiplicatively with the pool.**  Most BLAS
-builds default to one internal thread per core; fanning shard blocks
-across ``N`` pool workers then runs ``N × cores`` compute threads, and
-the oversubscribed kernel threads spend their time context-switching
-instead of multiplying.  :func:`pin_blas_threads` (called once, when a
-service first builds its pool) pins the BLAS libraries to one thread
-each so the *pool* is the only parallelism lever, exactly the
-threadpoolctl recipe — via threadpoolctl itself when installed, else a
-ctypes probe of the loaded BLAS plus the standard ``*_NUM_THREADS``
-environment guard for libraries yet to load.  Operators who want a
+**BLAS threads compose multiplicatively with concurrency.**  Most BLAS
+builds default to one internal thread per core.  A server already runs
+one query per connection thread, and a pool fans shard blocks across
+``N`` workers; either way each concurrent multiplication that threads
+across every core adds ``cores`` compute threads, and the
+oversubscribed kernel threads spend their time context-switching
+instead of multiplying.  :func:`pin_blas_threads` pins the BLAS
+libraries to one thread each, so concurrent requests and the pool are
+the only parallelism levers — the threadpoolctl recipe, via
+threadpoolctl itself when installed, else a ctypes probe of the loaded
+BLAS plus the standard ``*_NUM_THREADS`` environment guard for
+libraries yet to load.  The CLI server calls it at start-up in every
+process (:mod:`repro.serving.server`), and a service calls it when it
+first builds its pool.  Neither an import nor a ``SketchQueryServer``
+calls it: BLAS threading is process-wide, so a program that embeds the
+server decides its own.  :func:`blas_threads` reads the count in effect
+back from the libraries; ``/healthz`` reports it.  Operators who want a
 different split (say 2 BLAS threads under a 2-worker pool on a 16-core
 box) set ``REPRO_SERVING_BLAS_THREADS``.
 """
@@ -31,6 +38,7 @@ box) set ``REPRO_SERVING_BLAS_THREADS``.
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -87,6 +95,16 @@ _BLAS_SETTERS = (
     "bli_thread_set_num_threads",
 )
 
+#: The matching getters, which :func:`blas_threads` reads back.
+_BLAS_GETTERS = (
+    "openblas_get_num_threads",
+    "openblas_get_num_threads64_",
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_get_num_threads64_",
+    "MKL_Get_Max_Threads",
+    "bli_thread_get_num_threads",
+)
+
 _pin_lock = threading.Lock()
 _pinned: int | None = None
 _threadpoolctl_limits = None  # keeps a threadpoolctl pin alive process-wide
@@ -102,7 +120,7 @@ def _blas_threads_from_env() -> int | None:
         raise ValueError(
             f"{_BLAS_THREADS_ENV}={raw!r} is not a valid BLAS thread count: "
             "expected a positive integer such as 1 (unset it for the "
-            "default: 1 BLAS thread under a parallel worker pool)"
+            "default: 1 BLAS thread per pinned process)"
         ) from None
     if threads < 1:
         raise ValueError(
@@ -139,13 +157,59 @@ def _loaded_blas_libraries():
                 continue
 
 
-def _pin_loaded_blas(threads: int) -> None:
-    """Best-effort runtime pin of every BLAS already in the process."""
-    global _threadpoolctl_limits
+@functools.cache
+def _threadpoolctl():
+    """The threadpoolctl module when installed, else None."""
     try:
         import threadpoolctl
     except ImportError:
-        threadpoolctl = None
+        return None
+    return threadpoolctl
+
+
+@functools.cache
+def _blas_getters() -> tuple:
+    """The thread-count getters of every BLAS already in the process.
+
+    Resolved once: the scan costs about a millisecond and ``/healthz``
+    reads the count on every probe, while a getter call costs about a
+    microsecond.  numpy and scipy map their BLAS when imported, so every
+    build this package uses is in place before the first read.
+    """
+    getters = []
+    for lib in _loaded_blas_libraries():
+        for symbol in _BLAS_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                getters.append(getter)
+    return tuple(getters)
+
+
+def blas_threads() -> int | None:
+    """The BLAS thread count in effect, read back from the libraries.
+
+    The largest count any loaded BLAS reports (through threadpoolctl
+    when installed, else the ctypes probe), or None when no library
+    exposes a getter.  Read back rather than remembered, so an operator
+    sees a pin that did not take.
+    """
+    threadpoolctl = _threadpoolctl()
+    if threadpoolctl is not None:
+        counts = [
+            info["num_threads"]
+            for info in threadpoolctl.threadpool_info()
+            if info["user_api"] == "blas"
+        ]
+    else:
+        counts = [getter() for getter in _blas_getters()]
+    return max(counts, default=None)
+
+
+def _pin_loaded_blas(threads: int) -> None:
+    """Best-effort runtime pin of every BLAS already in the process."""
+    global _threadpoolctl_limits
+    threadpoolctl = _threadpoolctl()
     if threadpoolctl is not None:
         # holding the controller applies the limit for the life of the
         # process (releasing it would restore the oversubscribed default)
@@ -164,17 +228,27 @@ def _pin_loaded_blas(threads: int) -> None:
 
 
 def pin_blas_threads(threads: int | None = None) -> int:
-    """Pin BLAS-internal threading so the worker pool is the only lever.
+    """Pin BLAS-internal threading so concurrency comes from requests and the pool.
 
-    Called once per process by :class:`~repro.serving.service.DistanceService`
-    when a parallel policy first builds its pool.  ``threads=None``
-    means the default of 1 BLAS thread; ``REPRO_SERVING_BLAS_THREADS``
-    overrides both the argument and the default (and is validated
-    loudly, like every other serving knob).  Pre-existing explicit
-    ``OPENBLAS_NUM_THREADS``-style settings are respected — the
-    environment half uses ``setdefault`` — unless the override variable
-    forces them.  Returns the pinned count; repeat calls are no-ops
-    returning the first pin (one process, one BLAS configuration).
+    Called at start-up by every CLI server process
+    (:func:`repro.serving.server.main` and each ``--processes`` worker),
+    and by :class:`~repro.serving.service.DistanceService` when a
+    parallel policy first builds its pool.  A program that runs a
+    :class:`~repro.serving.server.SketchQueryServer` in its own process
+    calls it at start-up, as the CLI does.
+
+    ``threads=None`` means the default of 1 BLAS thread;
+    ``REPRO_SERVING_BLAS_THREADS`` overrides both the argument and the
+    default (and is validated loudly, like every other serving knob).
+    That variable is the one knob: the runtime half sets every BLAS
+    already loaded to the pinned count whatever ``OPENBLAS_NUM_THREADS``,
+    ``OMP_NUM_THREADS`` and the like say, so a count inherited from a
+    launcher cannot quietly bring the oversubscription back.  The
+    environment half, for libraries loaded later and for child
+    processes, only fills those variables where they are unset — unless
+    ``REPRO_SERVING_BLAS_THREADS`` is set, which overwrites them.
+    Returns the pinned count; repeat calls are no-ops returning the
+    first pin (one process, one BLAS configuration).
     """
     global _pinned
     override = _blas_threads_from_env()

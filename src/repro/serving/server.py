@@ -16,7 +16,8 @@ Endpoints (all bodies are :mod:`repro.serving.wire` envelopes):
 ``POST /query-many``   a JSON array of query envelopes in, results out
 ``GET /healthz``       liveness + store shape: rows, live rows, shards,
                        generation, tombstone count, config digest, worker
-                       pid, cache counters when caching is on
+                       pid, BLAS threads in effect, pool size, cache
+                       counters when caching is on
 ``GET /meta``          the store's public metadata header (no values)
 =====================  =======================================================
 
@@ -49,6 +50,19 @@ publishes a new generation, workers hot-swap it in without a restart
 (in-flight queries finish on the old snapshot, caches invalidate via
 the generation component of the store token).
 
+**One BLAS thread per server process.**  A query's scan is one BLAS
+multiplication, and concurrent requests already fill the cores, so
+:func:`main` and every ``--processes`` worker call
+:func:`~repro.serving.execution.pin_blas_threads` at start-up: BLAS
+runs one thread per process (``REPRO_SERVING_BLAS_THREADS`` overrides
+the count), and parallelism comes from concurrent requests and, when
+set, the ``--workers`` pool.  :class:`SketchQueryServer` itself never
+pins, because BLAS threading is process-wide: a program that serves it
+in its own process calls ``pin_blas_threads()`` at start-up, as the CLI
+does, while tests and embedding hosts keep their BLAS as they set it.
+``/healthz`` reports the count read back from the libraries, and the
+pool size.
+
 Run from the command line::
 
     python -m repro.serving.server --store path/to/store --port 8790 \
@@ -79,7 +93,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.serving import wire
 from repro.serving.cache import ReleaseCache
-from repro.serving.execution import ExecutionPolicy
+from repro.serving.execution import ExecutionPolicy, blas_threads, pin_blas_threads
 from repro.serving.queries import CrossQuery, PairwiseQuery, TopKQuery
 from repro.serving.service import DistanceService
 from repro.serving.store import ShardedSketchStore, read_manifest
@@ -394,11 +408,13 @@ class _QueryHandler(BaseHTTPRequestHandler):
                 "routing_generation": (
                     None if store.routing is None else store.routing.generation
                 ),
+                "workers": self.service.policy.workers,
             }
         # the answering worker's pid: under --processes N the kernel
         # load-balances connections, and operators (and the smoke test)
         # can see which worker answered
         payload["pid"] = os.getpid()
+        payload["blas_threads"] = blas_threads()
         if self.cache is not None:
             payload["cache"] = self.cache.stats()
         return payload
@@ -696,12 +712,10 @@ class SketchQueryServer:
 
 
 def _serve_worker(
-    store, host, port, mmap, workers, cache_entries, watch, ready
+    store, host, port, mmap, policy, cache_entries, watch, ready
 ) -> None:
-    """One ``--processes`` worker: bind the shared port, signal, serve."""
-    policy = None
-    if workers is not None:
-        policy = dataclasses.replace(ExecutionPolicy.from_env(), workers=workers)
+    """One ``--processes`` worker: pin BLAS, bind the shared port, signal, serve."""
+    pin_blas_threads()
     server = SketchQueryServer.from_store_dir(
         store,
         host=host,
@@ -712,11 +726,11 @@ def _serve_worker(
         cache=cache_entries,
         watch_interval=watch or None,
     )
-    ready.put(os.getpid())
+    ready.put(blas_threads())
     server.serve_forever()
 
 
-def _serve_multiprocess(args, policy_display: str) -> None:
+def _serve_multiprocess(args, policy: ExecutionPolicy) -> None:
     """Launch ``args.processes`` SO_REUSEPORT workers over one port.
 
     The parent claims the port first (resolving ``--port 0`` to a
@@ -724,7 +738,9 @@ def _serve_multiprocess(args, policy_display: str) -> None:
     waits until every one is accepting, and only then prints the
     machine-parsed URL line — a launcher that connects immediately
     never races a worker's bind.  Workers memory-map the same store
-    directory, so the OS page cache is shared across all of them.
+    directory, so the OS page cache is shared across all of them.  Each
+    worker pins BLAS and reports the count it reads back; the banner
+    shows the largest.
     """
     if not hasattr(socket, "SO_REUSEPORT"):
         raise SystemExit(
@@ -747,7 +763,7 @@ def _serve_multiprocess(args, policy_display: str) -> None:
                 args.host,
                 port,
                 not args.eager,
-                args.workers,
+                policy,
                 args.cache,
                 args.watch,
                 ready,
@@ -767,18 +783,20 @@ def _serve_multiprocess(args, policy_display: str) -> None:
 
     signal.signal(signal.SIGTERM, _terminate)
     try:
+        threads = []
         for _ in workers:
             try:
-                ready.get(timeout=120)
+                threads.append(ready.get(timeout=120))
             except queue.Empty:
                 raise SystemExit("a server worker failed to start within 120s")
         placeholder.close()  # the workers hold the port from here on
 
         store = ShardedSketchStore.load(args.store, mmap=True)
         url = f"http://{_format_host(_advertised_host(args.host))}:{port}"
+        config = _thread_config(policy, None if None in threads else max(threads))
         print(
             f"serving {len(store)} rows in {store.n_shards} shards "
-            f"({args.processes} processes, policy {policy_display}) at {url}",
+            f"({args.processes} processes, {config}) at {url}",
             flush=True,
         )
         for worker in workers:
@@ -793,8 +811,18 @@ def _serve_multiprocess(args, policy_display: str) -> None:
             worker.join()
 
 
+def _thread_config(policy: ExecutionPolicy, threads: int | None) -> str:
+    """The banner's thread configuration, named as ``/healthz`` names it."""
+    return f"policy {policy!r}, blas_threads={threads}, workers={policy.workers}"
+
+
 def main(argv=None) -> None:
-    """CLI: ``python -m repro.serving.server --store DIR [--port N]``."""
+    """CLI: ``python -m repro.serving.server --store DIR [--port N]``.
+
+    Pins BLAS first (see the module docstring): every process this
+    entry point starts serves at one BLAS thread unless
+    ``REPRO_SERVING_BLAS_THREADS`` says otherwise.
+    """
     parser = argparse.ArgumentParser(
         prog="python -m repro.serving.server",
         description="Serve distance queries over a saved sketch store via HTTP.",
@@ -841,20 +869,22 @@ def main(argv=None) -> None:
         "finish on the snapshot they started with)",
     )
     args = parser.parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        parser.error(f"--workers must be >= 1, got {args.workers}")
     if args.processes < 1:
         parser.error(f"--processes must be >= 1, got {args.processes}")
     if args.cache < 0:
         parser.error(f"--cache must be >= 0, got {args.cache}")
     if args.watch < 0:
         parser.error(f"--watch must be >= 0, got {args.watch}")
+    pin_blas_threads()
     # layer the flag over the environment policy so REPRO_SERVING_PREFILTER
     # keeps working (and keeps failing loudly on garbage) alongside --workers
-    policy = None
+    policy = ExecutionPolicy.from_env()
     if args.workers is not None:
-        policy = dataclasses.replace(ExecutionPolicy.from_env(), workers=args.workers)
+        policy = dataclasses.replace(policy, workers=args.workers)
     if args.processes > 1:
-        display = repr(policy if policy is not None else ExecutionPolicy.from_env())
-        _serve_multiprocess(args, display)
+        _serve_multiprocess(args, policy)
         return
     server = SketchQueryServer.from_store_dir(
         args.store,
@@ -870,7 +900,7 @@ def main(argv=None) -> None:
     # parse it to discover an ephemeral port
     print(
         f"serving {len(store)} rows in {store.n_shards} shards "
-        f"(policy {server.service.policy!r}) at {server.url}",
+        f"({_thread_config(policy, blas_threads())}) at {server.url}",
         flush=True,
     )
     server.serve_forever()

@@ -7,6 +7,7 @@ for top-k, radius and cross — and error behaviour matches local
 execution (same exception classes).
 """
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -54,6 +55,57 @@ def _saved_store(tmp_path, n=40, shard_capacity=7):
     return sk, tmp_path / "store"
 
 
+def _subprocess_env(**settings):
+    """This checkout's sources, no inherited worker or BLAS thread counts,
+    then ``settings``: the CLI flags and the test decide."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if key not in ("REPRO_SERVING_WORKERS", "REPRO_SERVING_BLAS_THREADS")
+        and not key.endswith("_NUM_THREADS")
+    }
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    env.update(settings)
+    return env
+
+
+@contextlib.contextmanager
+def _cli_server(store_dir, *flags, env=None):
+    """Run ``python -m repro.serving.server``; yield its banner and URL."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.serving.server", "--store", str(store_dir),
+         "--port", "0", *flags],
+        env=_subprocess_env() if env is None else env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        assert " at http://" in banner, f"unexpected server banner: {banner!r}"
+        yield banner, banner.rsplit(" at ", 1)[1].strip()
+    finally:
+        process.terminate()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:  # pragma: no cover - defensive
+            process.kill()
+            process.wait()
+        process.stdout.close()
+
+
+def _run(*argv, env=None):
+    """Run the interpreter on ``argv`` in a fresh process, so any BLAS pin stays there."""
+    return subprocess.run(
+        [sys.executable, *argv],
+        env=_subprocess_env() if env is None else env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 def _assert_remote_matches_local(client, local, sk):
     rng = np.random.default_rng(9)
     query = sk.sketch(rng.standard_normal(128), noise_rng=5)
@@ -86,43 +138,13 @@ class TestSubprocessServer:
         local = DistanceService(
             ShardedSketchStore.load(store_dir, mmap=True), ExecutionPolicy(workers=1)
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_SERVING_WORKERS", None)  # the CLI flag decides
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.serving.server",
-                "--store",
-                str(store_dir),
-                "--port",
-                "0",
-                "--workers",
-                "2",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            assert " at http://" in banner, f"unexpected server banner: {banner!r}"
-            url = banner.rsplit(" at ", 1)[1].strip()
+        with _cli_server(store_dir, "--workers", "2") as (_, url):
             client = DistanceClient(url, timeout=30.0)
             health = client.health()
             assert health["rows"] == 40
             assert health["config_digest"] == _CONFIG.digest()
+            assert health["workers"] == 2
             _assert_remote_matches_local(client, local, sk)
-        finally:
-            process.terminate()
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                process.kill()
-                process.wait()
 
 
 class TestInProcessServer:
@@ -516,34 +538,12 @@ class TestMultiProcessServer:
         local = DistanceService(
             ShardedSketchStore.load(store_dir, mmap=True), ExecutionPolicy(workers=1)
         )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_SERVING_WORKERS", None)
-        process = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.serving.server",
-                "--store",
-                str(store_dir),
-                "--port",
-                "0",
-                "--processes",
-                "2",
-                "--cache",
-                "64",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            banner = process.stdout.readline()
-            assert " at http://" in banner, f"unexpected server banner: {banner!r}"
+        # an inherited count reaches the spawned workers, which pin anyway
+        env = _subprocess_env(OPENBLAS_NUM_THREADS="2")
+        flags = ("--processes", "2", "--cache", "64")
+        with _cli_server(store_dir, *flags, env=env) as (banner, url):
             assert "2 processes" in banner
-            url = banner.rsplit(" at ", 1)[1].strip()
+            assert "blas_threads=1, workers=1" in banner
             client = DistanceClient(url, timeout=30.0)
             health = client.health()
             assert health["rows"] == 40
@@ -555,14 +555,91 @@ class TestMultiProcessServer:
             pids = set()
             for _ in range(32):
                 with DistanceClient(url, pool_size=0) as probe:
-                    pids.add(probe.health()["pid"])
+                    health = probe.health()
+                # every worker pinned BLAS at start-up, whichever answers
+                assert health["blas_threads"] == 1, health
+                pids.add(health["pid"])
                 if len(pids) >= 2:
                     break
             assert len(pids) >= 2, f"all connections landed on one worker: {pids}"
-        finally:
-            process.terminate()
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - defensive
-                process.kill()
-                process.wait()
+
+
+_IN_PROCESS_SCRIPT = """
+import json, sys
+from repro.serving import DistanceClient, ExecutionPolicy, PairwiseQuery, SketchQueryServer
+from repro.serving.execution import blas_threads
+
+before = blas_threads()
+with SketchQueryServer.from_store_dir(
+    sys.argv[1], port=0, policy=ExecutionPolicy(workers=1)
+).start() as server:
+    client = DistanceClient(server.url)
+    client.execute(PairwiseQuery(indices=(0, 1, 2)))
+    served = client.health()["blas_threads"]
+print(json.dumps([before, served, blas_threads()]))
+"""
+
+
+class TestBlasThreadPin:
+    """Every CLI server process pins BLAS at start-up; embedders decide.
+
+    The pin is process-wide and once-only, so each test runs a
+    subprocess with its own environment and this process is never
+    pinned.
+    """
+
+    def test_cli_server_serves_at_one_blas_thread(self, tmp_path):
+        _, store_dir = _saved_store(tmp_path, n=5)
+        with _cli_server(store_dir) as (banner, url):
+            health = DistanceClient(url, timeout=30.0).health()
+        assert (health["blas_threads"], health["workers"]) == (1, 1)
+        assert "blas_threads=1, workers=1" in banner
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="2 BLAS threads need 2 cores")
+    @pytest.mark.parametrize(
+        "setting, expected",
+        [
+            ({"REPRO_SERVING_BLAS_THREADS": "2"}, 2),
+            # an inherited count is not a knob: the pin overrides it
+            ({"OPENBLAS_NUM_THREADS": "2"}, 1),
+        ],
+    )
+    def test_only_the_serving_variable_sets_the_count(self, tmp_path, setting, expected):
+        _, store_dir = _saved_store(tmp_path, n=5)
+        with _cli_server(store_dir, env=_subprocess_env(**setting)) as (_, url):
+            assert DistanceClient(url, timeout=30.0).health()["blas_threads"] == expected
+
+    def test_in_process_server_leaves_host_blas_as_found(self, tmp_path):
+        _, store_dir = _saved_store(tmp_path, n=5)
+        result = _run("-c", _IN_PROCESS_SCRIPT, str(store_dir))
+        assert result.returncode == 0, result.stderr
+        before, served, after = json.loads(result.stdout)
+        assert before == served == after
+
+    @pytest.mark.parametrize("flags", [(), ("--processes", "2")])
+    def test_bad_workers_flag_is_a_usage_error(self, tmp_path, flags):
+        result = _run(
+            "-m", "repro.serving.server", "--store", str(tmp_path), "--workers", "0", *flags
+        )
+        assert result.returncode == 2, result.stderr
+        assert "usage:" in result.stderr
+        assert "--workers must be >= 1, got 0" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["0", "abc"])
+    def test_bad_blas_threads_variable_fails_loudly(self, raw):
+        result = _run(
+            "-c",
+            "from repro.serving.execution import pin_blas_threads; pin_blas_threads()",
+            env=_subprocess_env(REPRO_SERVING_BLAS_THREADS=raw),
+        )
+        assert result.returncode == 1
+        assert f"ValueError: REPRO_SERVING_BLAS_THREADS={raw!r}" in result.stderr
+
+    def test_repeat_pin_returns_the_first(self):
+        result = _run(
+            "-c",
+            "from repro.serving.execution import blas_threads, pin_blas_threads\n"
+            "print(pin_blas_threads(), pin_blas_threads(3), blas_threads())"
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["1", "1", "1"]
