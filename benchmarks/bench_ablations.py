@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md section 6 calls out.
+"""Ablations of the sketch's design choices (docs/ARCHITECTURE.md maps the layers).
 
 Each benchmark varies exactly one choice and asserts the expected
 direction of the effect:

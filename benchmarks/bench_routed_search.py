@@ -7,7 +7,9 @@ legitimately keeps everything):
 
 * **exactness** — the routed top-10 payload must be *bit-identical* to
   the unrouted scan's (hard: the centroid-ball bound is a proof, not a
-  heuristic — any divergence is a bug);
+  heuristic — any divergence is a bug).  The unrouted side is the same
+  saved layout loaded without its table, where the norm bound runs
+  alone;
 * **work** — rows scanned must drop below the unrouted scan's (hard),
   and to at most 10% of the store (hard): shards are visited in order
   of their bound, so the query's own cluster fills the top-10 first and
@@ -23,6 +25,7 @@ Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_routed_search.py -v -s``
 """
 
+import shutil
 import time
 
 import numpy as np
@@ -34,6 +37,7 @@ from repro.serving import (
     ShardedSketchStore,
     TopKQuery,
 )
+from repro.serving.serialization import read_manifest, write_manifest
 
 _D, _K, _S = 128, 64, 4
 _ROWS = 105_000        # stored rows (>= 1e5 per the acceptance gate)
@@ -99,10 +103,16 @@ def test_routed_search_is_exact_and_scans_one_cluster(tmp_path, bench_record):
     store.save(tmp_path / "routed")
     served = ShardedSketchStore.load(tmp_path / "routed", mmap=True)
     assert served.routing is not None, "routing table must survive save/load"
+    # the same saved layout without its table: a copy whose manifest
+    # drops the routing entry
+    shutil.copytree(tmp_path / "routed", tmp_path / "unrouted")
+    manifest = read_manifest(tmp_path / "unrouted")
+    del manifest["routing"]
+    write_manifest(tmp_path / "unrouted", manifest)
+    plain = ShardedSketchStore.load(tmp_path / "unrouted", mmap=True)
+    assert plain.routing is None and plain.shard_sizes() == served.shard_sizes()
 
-    with DistanceService(
-        served, ExecutionPolicy(workers=1, routing=False)
-    ) as unrouted_svc:
+    with DistanceService(plain, ExecutionPolicy(workers=1)) as unrouted_svc:
         unrouted_s, unrouted_frac, unrouted = _run_queries(unrouted_svc, queries)
     with DistanceService(served, ExecutionPolicy(workers=1)) as svc:
         routed_s, routed_frac, routed = _run_queries(svc, queries)

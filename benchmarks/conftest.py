@@ -1,13 +1,13 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark file regenerates one paper table/claim (see DESIGN.md's
-per-experiment index) through the ``regenerate`` fixture, which times a
-single full run of the experiment, prints the resulting table, and
-asserts that every shape check reproduced the paper's claim.
+Every benchmark file regenerates one paper table/claim (see the
+experiment index in ``repro.experiments.registry``) through the
+``regenerate`` fixture, which times a single full run of the
+experiment, prints the resulting table, and asserts that every shape
+check reproduced the paper's claim.
 
 Benchmarks run experiments at ``smoke`` scale so the suite stays fast;
-EXPERIMENTS.md records the ``full``-scale numbers produced via
-``python -m repro.experiments all``.
+``python -m repro.experiments all`` produces the ``full``-scale numbers.
 
 The ``bench_record`` fixture is the perf ledger: every system benchmark
 writes one machine-readable ``BENCH_<name>.json`` (timings, speedups,

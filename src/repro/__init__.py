@@ -17,8 +17,9 @@ Quickstart::
     sy = sketcher.sketch(y)       # party holding y
     d2 = sketcher.estimate_sq_distance(sx, sy)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every reproduced claim.
+See README.md for the system inventory and docs/ARCHITECTURE.md for
+the layer map; ``repro.experiments.registry`` indexes the paper claims
+the experiment suite reproduces (``python -m repro.experiments list``).
 """
 
 from repro.core import (

@@ -35,8 +35,8 @@ class PrivateNeighborIndex:
     """A flat index of private sketches supporting distance queries.
 
     ``policy`` selects how queries are executed (serial, or fanned out
-    across a thread pool of shard workers with norm-bound
-    prefiltering); results are identical whatever the policy.
+    across a thread pool of shard workers); results are identical
+    whatever the policy.
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Experiment harness reproducing every quantitative claim in the paper.
 
-See DESIGN.md section 3 for the experiment index and
+See :mod:`repro.experiments.registry` for the experiment index and
 ``python -m repro.experiments list`` for the runnable inventory.
 """
 

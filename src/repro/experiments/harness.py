@@ -10,8 +10,8 @@ variance formula, a crossover, a running-time regime — and reports
   claim being reproduced.
 
 ``scale="smoke"`` shrinks trial counts so the whole suite runs in
-seconds (used by the benchmark harness); ``scale="full"`` is what
-EXPERIMENTS.md records.
+seconds (used by the benchmark harness); ``scale="full"``, the
+default of ``python -m repro.experiments``, runs the full trial counts.
 """
 
 from __future__ import annotations

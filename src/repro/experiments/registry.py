@@ -1,8 +1,8 @@
 """Registry mapping experiment IDs to their implementations.
 
-The IDs follow DESIGN.md's per-experiment index; each maps to one claim
-in the paper.  ``run_experiment`` is the single entry point used by the
-CLI, the benchmarks and EXPERIMENTS.md.
+This is the experiment index: each ID maps to one claim in the paper.
+``run_experiment`` is the single entry point used by the CLI
+(``python -m repro.experiments``) and the benchmarks.
 """
 
 from __future__ import annotations

@@ -72,14 +72,14 @@ them before the next publish prunes it (see
 
 **Prefilter guarantee.**  Top-k and radius queries bound every shard
 from below before scanning it: by the reverse triangle inequality over
-the shard's cached norm range (the prefilter, on by default, see
-:class:`ExecutionPolicy`) and, on a routed store, over its centroid
-ball — minus a safety slack that dominates floating-point rounding.
-Shards are visited best bound first, and one is skipped only when its
-bound proves every distance in it strictly worse than the current
-threshold.  Query results are identical with the bounds on or off,
-ties included; they are a work-skipping optimisation, never an
-approximation.  Skipped shards are visible in
+the shard's cached norm range (the norm bound, which always runs) and,
+on a routed store, over its centroid ball — minus a safety slack that
+dominates floating-point rounding.  Shards are visited best bound
+first, and one is skipped only when its bound proves every distance in
+it strictly worse than the current threshold.  Query results are
+therefore identical to a full scan of every shard, ties included; the
+bounds are a work-skipping optimisation, never an approximation, and
+no policy switches them.  Skipped shards are visible in
 ``QueryResult.stats.shards_pruned``.
 
 **Centroid routing.**  ``compact(routing=True)`` clusters the live rows

@@ -26,9 +26,10 @@ structure: released quantities are reusable.)
 opaque, hashable key to the encoded result-envelope bytes.  The HTTP
 frontend keys entries by ``(endpoint path, request body bytes,
 store-state token)`` where the token is ``(rows, config digest,
-storage)``: the wire codec is canonical (sorted keys, fixed float
-encoding), so equal queries encode to equal bytes, and any append to
-the store changes the row count and thereby invalidates every prior
+storage, generation, tombstone count)``: the wire codec is canonical
+(sorted keys, fixed float encoding), so equal queries encode to equal
+bytes, and any append (row count), delete (tombstone count) or
+generation swap changes the token and thereby invalidates every prior
 key without explicit eviction.  Entries are bounded both by count and
 by total payload bytes.
 

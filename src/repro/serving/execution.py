@@ -63,11 +63,7 @@ def run_ordered(fn, items: list, *, executor: ThreadPoolExecutor | None = None) 
     return list(executor.map(fn, items))
 
 _WORKERS_ENV = "REPRO_SERVING_WORKERS"
-_PREFILTER_ENV = "REPRO_SERVING_PREFILTER"
-_ROUTING_ENV = "REPRO_SERVING_ROUTING"
 _BLAS_THREADS_ENV = "REPRO_SERVING_BLAS_THREADS"
-_TRUE_VALUES = ("1", "true", "on", "yes")
-_FALSE_VALUES = ("0", "false", "off", "no")
 
 #: The thread-count knobs every mainstream BLAS/OpenMP build reads at
 #: library load time — the environment half of the guard, covering any
@@ -286,28 +282,6 @@ def _workers_from_env() -> int:
     return workers
 
 
-def _switch_from_env(var: str) -> bool:
-    raw = os.environ.get(var, "").strip().lower()
-    if not raw:  # unset or empty means the default, same as the workers var
-        return True
-    if raw in _TRUE_VALUES:
-        return True
-    if raw in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"{var}={raw!r} is not a valid switch: use one of "
-        f"{'/'.join(_TRUE_VALUES)} or {'/'.join(_FALSE_VALUES)}"
-    )
-
-
-def _prefilter_from_env() -> bool:
-    return _switch_from_env(_PREFILTER_ENV)
-
-
-def _routing_from_env() -> bool:
-    return _switch_from_env(_ROUTING_ENV)
-
-
 @dataclass(frozen=True, repr=False)
 class ExecutionPolicy:
     """How a :class:`DistanceService` schedules per-shard query work.
@@ -317,22 +291,14 @@ class ExecutionPolicy:
     workers:
         ``1`` streams shards serially on the calling thread; ``N > 1``
         fans shard blocks out across a pool of ``N`` threads.
-    prefilter:
-        Enable the norm bound (skip shards whose best-case distance
-        provably cannot produce a result).  Exact — filtered and
-        unfiltered queries return identical answers; see
-        :mod:`repro.serving.service` for the guarantee.  With both
-        bounds enabled a shard is bounded by the larger of the two.
-    routing:
-        Enable the centroid-ball bound on stores that carry a routing
-        table (:mod:`repro.serving.routing`).  Also exact — the bound
-        only skips provably hopeless shards, so results never depend on
-        it.
+
+    The policy decides scheduling only.  Which shards a top-k or radius
+    query skips is decided by the exact shard bounds of
+    :mod:`repro.serving.service`, which always run, so answers never
+    depend on the policy.
     """
 
     workers: int = 1
-    prefilter: bool = True
-    routing: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -340,10 +306,7 @@ class ExecutionPolicy:
 
     def __repr__(self) -> str:
         mode = "serial" if self.workers == 1 else f"workers={self.workers}"
-        return (
-            f"ExecutionPolicy({mode}, prefilter={'on' if self.prefilter else 'off'}, "
-            f"routing={'on' if self.routing else 'off'})"
-        )
+        return f"ExecutionPolicy({mode})"
 
     @property
     def parallel(self) -> bool:
@@ -355,16 +318,9 @@ class ExecutionPolicy:
 
         ``REPRO_SERVING_WORKERS`` sets the worker count — CI uses it to
         run the whole serving test suite under a 4-worker pool without
-        touching the tests — ``REPRO_SERVING_PREFILTER=0`` disables
-        the prefilter and ``REPRO_SERVING_ROUTING=0`` the exact routing
-        stage (A/B levers for debugging; both are exact, so results
-        never depend on them).  Malformed values raise ``ValueError``
-        naming the variable, the offending value and the accepted
-        forms — a typo in a deployment manifest should fail loudly at
-        service construction, not silently fall back.
+        touching the tests.  A malformed value raises ``ValueError``
+        naming the variable, the offending value and the accepted form
+        — a typo in a deployment manifest should fail loudly at service
+        construction, not silently fall back.
         """
-        return cls(
-            workers=_workers_from_env(),
-            prefilter=_prefilter_from_env(),
-            routing=_routing_from_env(),
-        )
+        return cls(workers=_workers_from_env())

@@ -45,8 +45,10 @@ Merge rules per query kind (mirroring the local per-shard reduction):
   axis in backend order; bit-identical always (matrix payloads ride
   the wire as raw float64 and are never clamped).
 * **pairwise** — answered when every requested row lives in a single
-  backend (indices are translated and forwarded); a pairwise query
-  *spanning* backends is rejected with ``ValueError``, because
+  backend (indices are translated and forwarded).  Indices number live
+  rows, as they do locally, so backend offsets count live rows, not
+  ``len()``, which includes tombstones.  A pairwise query *spanning*
+  backends is rejected with ``ValueError``, because
   cross-backend pairs need the stored values themselves, which no
   backend exposes.  Span the store with :class:`CrossQuery` instead.
 
@@ -87,6 +89,18 @@ def _merge_stats(parts: list[QueryStats]) -> QueryStats:
         rows_total=sum(s.rows_total for s in parts),
         elapsed_seconds=max((s.elapsed_seconds for s in parts), default=0.0),
     )
+
+
+def _live_rows(backend) -> int:
+    """The rows ``backend`` serves, which its pairwise indices number.
+
+    A local service reads its store; a client or a nested router
+    reports them as ``live_rows`` in its health payload.
+    """
+    store = getattr(backend, "store", None)
+    if store is not None:
+        return store.live_row_count
+    return int(backend.health()["live_rows"])
 
 
 def _merge_ranking(partials: list[list], k: int | None) -> list:
@@ -138,11 +152,12 @@ class RouterService:
         return sum(len(backend) for backend in self.backends)
 
     def health(self) -> dict:
-        """Aggregate liveness: total rows and per-backend row counts."""
+        """Aggregate liveness: total and live rows, per-backend row counts."""
         rows = [len(backend) for backend in self.backends]
         return {
             "status": "ok",
             "rows": sum(rows),
+            "live_rows": sum(_live_rows(backend) for backend in self.backends),
             "backends": len(self.backends),
             "backend_rows": rows,
         }
@@ -230,7 +245,7 @@ class RouterService:
     # -- pairwise: a gather, not a scatter -----------------------------------
 
     def _execute_pairwise(self, query: PairwiseQuery) -> QueryResult:
-        sizes = [len(backend) for backend in self.backends]
+        sizes = [_live_rows(backend) for backend in self.backends]
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         total = int(offsets[-1])
         indices = np.asarray(query.indices, dtype=np.int64)
@@ -256,7 +271,7 @@ class RouterService:
             indices=tuple(int(i - offsets[owner]) for i in indices)
         )
         result = self.backends[owner].execute(local)
-        # untouched backends' rows count toward the logical total, like
-        # the local engine's untouched shards
+        # untouched backends' live rows count toward the logical total,
+        # like the local engine's untouched shards
         stats = dataclasses.replace(result.stats, rows_total=total)
         return QueryResult(payload=result.payload, stats=stats)

@@ -13,9 +13,9 @@ map approximately preserves Euclidean geometry (Stausholm, PODS 2021),
 rows that are close in input space land in the same sketch-space ball,
 so the balls are tight and routing is selective.
 
-The query plane uses the ``(c_i, r_i)`` table when it matches the
-snapshot's layout and
-:attr:`~repro.serving.execution.ExecutionPolicy.routing` is on.  By the
+The query plane uses the ``(c_i, r_i)`` table whenever it matches the
+snapshot's layout; a store without a table (never clustered, or
+compacted since without ``routing=``) runs the norm bound alone.  By the
 reverse triangle inequality every row ``v`` of shard ``i`` satisfies
 ``||q - v|| >= ||q - c_i|| - r_i``, so the shard's whole distance block
 is bounded below by ``max(0, ||q - c_i|| - r_i)^2 - correction`` — the

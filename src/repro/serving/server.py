@@ -79,7 +79,6 @@ print an unconnectable ``http://0.0.0.0:PORT``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import multiprocessing
 import os
@@ -475,10 +474,13 @@ class SketchQueryServer:
     **Live generation swap.**  A server constructed over a store
     *directory* (``from_store_dir``, or ``store_path=`` here) can follow
     that directory across maintenance: ``watch_interval=SECONDS`` polls
-    the manifest on a daemon thread and, whenever its identity — the
-    generation counter bumped by :func:`~repro.serving.maintenance.compact_store`,
-    plus rows/shards/storage/tombstones — changes, loads the new
-    generation and swaps it into the running service without a restart.
+    the manifest on a daemon thread and, whenever its ``generation``
+    moves, loads the new generation and swaps it into the running
+    service without a restart.  Every publish raises the generation —
+    ``save``, :func:`~repro.serving.maintenance.compact_store`,
+    ``merge_stores`` and ``rebuild_routing`` all go through
+    :func:`~repro.serving.serialization.publish` — so the watched
+    identity is just the generation and the ``shards_dir`` it names.
     In-flight queries finish on the snapshot they already took (the
     store-swap contract in :mod:`repro.serving.service`); the next
     request sees the new generation, and the result cache invalidates
@@ -586,26 +588,16 @@ class SketchQueryServer:
     # -- manifest watching / live swap ---------------------------------------
 
     def _manifest_state(self) -> tuple:
-        """The store directory's identity, as cheap-to-read manifest facts.
+        """The store directory's identity: its generation and shard directory.
 
-        Any maintenance step changes at least one component: ``delete``
-        + re-save grows the tombstone list, ``compact_store`` bumps the
-        generation (and re-points ``shards_dir``), a tier demotion
-        changes ``storage``, appends change ``n_rows``.  Reading the
-        manifest is one small JSON file — cheap enough to poll.
+        Every publish raises ``generation`` and points ``shards_dir`` at
+        the new ``gen-NNNNN``, so any change a reader could observe —
+        appends, deletes, a tier demotion, a routing rebuild — moves
+        this pair.  Reading the manifest is one small JSON file — cheap
+        enough to poll.
         """
         manifest = read_manifest(self._store_path)
-        return (
-            int(manifest.get("generation", 0)),
-            manifest["n_rows"],
-            manifest["n_shards"],
-            manifest.get("storage", "f8"),
-            manifest.get("shards_dir", ""),
-            tuple(manifest.get("tombstones", ())),
-            # a rebuild-routing pass rewrites only this entry (same
-            # generation semantics as a compact, new routing blob)
-            tuple(sorted((manifest.get("routing") or {}).items())),
-        )
+        return int(manifest.get("generation", 0)), manifest.get("shards_dir", "")
 
     def reload_if_changed(self) -> bool:
         """Poll the manifest once; swap the new generation in if it moved.
@@ -878,11 +870,11 @@ def main(argv=None) -> None:
     if args.watch < 0:
         parser.error(f"--watch must be >= 0, got {args.watch}")
     pin_blas_threads()
-    # layer the flag over the environment policy so REPRO_SERVING_PREFILTER
-    # keeps working (and keeps failing loudly on garbage) alongside --workers
-    policy = ExecutionPolicy.from_env()
-    if args.workers is not None:
-        policy = dataclasses.replace(policy, workers=args.workers)
+    policy = (
+        ExecutionPolicy.from_env()
+        if args.workers is None
+        else ExecutionPolicy(workers=args.workers)
+    )
     if args.processes > 1:
         _serve_multiprocess(args, policy)
         return

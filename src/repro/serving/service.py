@@ -46,8 +46,9 @@ the cross writer.  Four mechanisms keep large stores fast:
   scan, ties included — pure work-skipping, never approximation.
   Skipped shards are reported in ``stats.shards_pruned``, and those the
   centroid-ball bound alone rules out also in ``stats.shards_routed``.
-  ``ExecutionPolicy.prefilter`` and ``ExecutionPolicy.routing`` switch
-  the two bounds.
+  Both bounds always run, since neither can change an answer; a store
+  sheds the ball bound only by shedding its table (an append, a
+  delete, or a compaction without ``routing=``).
 * **Best-first order** — shards are visited in ascending order of their
   least bound over the query rows, so the running ``k``-th best
   tightens on the most promising shards first and rules out the rest
@@ -177,8 +178,8 @@ def _shard_lower_bounds(
     ||q|| - sqrt(hi))``.  A relative slack larger than any rounding the
     block arithmetic can accumulate is subtracted, so comparing the
     bound *strictly greater* against a threshold can only skip shards
-    whose every entry genuinely exceeds the threshold — prefiltered
-    results are identical to unfiltered ones, ties included.
+    whose every entry genuinely exceeds the threshold — bounded results
+    are identical to a full scan's, ties included.
 
     On a float32-scanned shard (a quantised store) the block's GEMM
     rounds far more coarsely than float64 — up to the accumulation
@@ -453,29 +454,29 @@ class DistanceService:
         return _Scan(store, rows, np.einsum("ij,ij->i", rows, rows), views, offsets)
 
     def _bounds(self, scan: _Scan, correction: float):
-        """``(combined, centroid-ball)`` lower-bound matrices, either ``None``.
+        """``(combined, centroid-ball)`` lower-bound matrices.
 
-        The combined bound is the larger of the two stages the policy
-        enables.  The centroid-ball stage needs a routing table that
-        matches this exact snapshot's per-view sizes — a concurrent
-        append between the table read and the snapshot can therefore
-        never pair fresh rows with stale ball geometry.
+        The norm bound always runs.  The centroid-ball bound joins it,
+        and the combined bound is the larger of the two, whenever the
+        store's routing table matches this exact snapshot's per-view
+        sizes — a concurrent append between the table read and the
+        snapshot can therefore never pair fresh rows with stale ball
+        geometry.  Without such a table the ball matrix is ``None``; on
+        an empty snapshot both are.
         """
         views, store = scan.views, scan.store
         if not views:
             return None, None
         query_norms = np.sqrt(scan.sq_rows)
         gamma = self._scan_gamma(store)
-        routing = store.routing if self.policy.routing else None
-        route = None
-        if routing is not None and routing.matches([v.size for v in views]):
-            route = routing.lower_bounds(
-                scan.rows, scan.sq_rows, query_norms, correction, gamma
-            )
-        if not self.policy.prefilter:
-            return route, route
         bounds = _shard_lower_bounds(views, scan.sq_rows, query_norms, correction, gamma)
-        return (bounds if route is None else np.fmax(bounds, route)), route
+        routing = store.routing
+        if routing is None or not routing.matches([v.size for v in views]):
+            return bounds, None
+        route = routing.lower_bounds(
+            scan.rows, scan.sq_rows, query_norms, correction, gamma
+        )
+        return np.fmax(bounds, route), route
 
     def _visit(self, scan: _Scan, take, cutoff=None) -> tuple[list, QueryStats]:
         """Hand every shard's live block to ``take``, best shard first.

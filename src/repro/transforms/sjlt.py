@@ -21,8 +21,8 @@ The graph construction (b) — ``s`` distinct rows per column chosen
 uniformly — is implemented as well; we sample it with a seeded PRG
 (full independence) since limited-independence without-replacement
 sampling has no clean vectorised form (substitution documented in
-DESIGN.md; the variance analysis only uses <= 4-wise moments, which
-full independence trivially satisfies).
+docs/ARCHITECTURE.md; the variance analysis only uses <= 4-wise
+moments, which full independence trivially satisfies).
 """
 
 from __future__ import annotations

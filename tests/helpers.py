@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.serving import CrossQuery, RadiusQuery, TopKQuery
+from repro.core.estimators import clamp_sq_estimates
+from repro.serving import (
+    CrossQuery,
+    DistanceService,
+    ExecutionPolicy,
+    RadiusQuery,
+    TopKQuery,
+)
 from repro.serving.serialization import SHARD_PATTERN, read_manifest, shard_dir
 from repro.transforms import create_transform
 
@@ -32,6 +39,34 @@ def execute_radius(service, query, radius_sq):
 
 def execute_cross(service, queries):
     return service.execute(CrossQuery(queries=queries)).payload
+
+
+def full_scan(store, query):
+    """The reference answer to a top-k or radius query: one unbounded pass.
+
+    Runs a :class:`CrossQuery` over every shard of ``store`` (the pass
+    the service makes for cross queries, with no bound), ranks each
+    query row by (estimate, global position) and clamps the reported
+    estimates at zero, as the service's merge does.  Every shard block
+    is the same arithmetic a bounded top-k or radius scan runs, so a
+    bounded answer over the same layout must equal this to the bit.  Returns what
+    ``execute(query).payload`` returns: a ranking per query row for
+    top-k, one ranking for radius.
+    """
+    radius = isinstance(query, RadiusQuery)
+    release = query.query if radius else query.queries
+    service = DistanceService(store, ExecutionPolicy(workers=1))
+    matrix = service.execute(CrossQuery(queries=release)).payload
+    # the cross columns are the live rows, in store order
+    positions = np.setdiff1d(np.arange(len(store)), store.tombstones)
+    rankings = []
+    for row in matrix:
+        order = np.lexsort((positions, row))
+        order = order[row[order] <= query.radius_sq] if radius else order[: query.k]
+        rankings.append(
+            [(store.label(int(positions[j])), clamp_sq_estimates(row[j])) for j in order]
+        )
+    return rankings[0] if radius else rankings
 
 
 # -- storage-aware expectations (the suite also runs under a quantised

@@ -115,7 +115,7 @@ class TestNoiseSpecRoundtrips:
 
 class TestRegistryVsDesign:
     def test_every_experiment_has_bench_file(self):
-        """DESIGN.md promises one bench target per experiment ID."""
+        """Every experiment ID in the registry has one bench target."""
         import pathlib
 
         bench_dir = pathlib.Path(__file__).resolve().parent.parent / "benchmarks"

@@ -36,7 +36,9 @@ from repro.serving import (
     ShardedSketchStore,
     TopKQuery,
 )
+from repro.serving.service import _shard_lower_bounds
 from repro.theory.quantisation import sq_distance_error_bound, sq_norm_error_bound
+from tests.helpers import full_scan
 
 _SPECS = st.sampled_from(["f4", "f2", "int8"])
 #: magnitudes stay inside float16 range even with the outlier factor
@@ -159,7 +161,7 @@ class TestPrefilterExactOverQuantisedShards:
         # the prefilter contract survives quantisation: its slack is
         # widened by the float32 accumulation envelope, so pruning can
         # only skip shards whose every (float32-rounded) estimate
-        # genuinely loses — results match the unfiltered scan exactly,
+        # genuinely loses — results match the full scan exactly,
         # even when estimates tie within GEMM rounding
         dim = 16
         rng = np.random.default_rng(seed)
@@ -177,16 +179,65 @@ class TestPrefilterExactOverQuantisedShards:
         store.add_batch(dataclasses.replace(template, values=values, labels=()))
         query = dataclasses.replace(template, values=values[:1].copy(), labels=())
 
-        on = DistanceService(store, ExecutionPolicy(prefilter=True))
-        off = DistanceService(store, ExecutionPolicy(prefilter=False))
+        service = DistanceService(store, ExecutionPolicy())
         top = TopKQuery(queries=query, k=k)
-        assert on.execute(top).payload == off.execute(top).payload
+        assert service.execute(top).payload == full_scan(store, top)
         cutoff = float(
-            np.median(off.execute(CrossQuery(queries=query)).payload[0])
+            np.median(service.execute(CrossQuery(queries=query)).payload[0])
         )
         radius = RadiusQuery(query=query.row(0), radius_sq=max(cutoff, 0.0))
-        assert on.execute(radius).payload == off.execute(radius).payload
+        assert service.execute(radius).payload == full_scan(store, radius)
 
+    @given(
+        spec=st.sampled_from(["f8", "f4", "f2", "int8"]),
+        n=st.integers(1, 32),
+        capacity=st.integers(1, 8),
+        n_queries=st.integers(1, 4),
+        seed=st.integers(0, 10_000),
+        exponent=_EXPONENTS,
+        collinear=st.booleans(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_norm_bound_is_sound(
+        self, spec, n, capacity, n_queries, seed, exponent, collinear
+    ):
+        # the norm bound's twin of the centroid-ball soundness property:
+        # no entry of the bound matrix exceeds the smallest estimate the
+        # served kernel computes in that shard's block, so no cutoff can
+        # prune a true result.  Near-collinear rows and queries make the
+        # norm gap tight, where float32 rounding would breach a slack
+        # sized for float64 alone.
+        dim = 16
+        rng = np.random.default_rng(seed)
+        values = _values(rng, n, dim, exponent, outlier=False)
+        queries = rng.standard_normal((n_queries, dim)) * 10.0 ** exponent
+        if collinear:
+            direction = rng.standard_normal(dim)
+            direction /= np.linalg.norm(direction)
+            scale = 10.0 ** exponent
+            values = np.outer(1.0 + np.abs(rng.normal(0.0, 0.02, n)), direction) * scale
+            queries = np.outer(rng.uniform(0.5, 1.5, n_queries), direction) * scale
+        template = _template(dim)
+        store = ShardedSketchStore(shard_capacity=capacity, storage=spec)
+        store.add_batch(dataclasses.replace(template, values=values, labels=()))
+        released = dataclasses.replace(template, values=queries, labels=())
+        service = DistanceService(store, ExecutionPolicy(workers=1))
+        matrix = service.execute(CrossQuery(queries=released)).payload
+        sq_rows = np.einsum("ij,ij->i", queries, queries)
+        views = store.snapshot()
+        bounds = _shard_lower_bounds(
+            views,
+            sq_rows,
+            np.sqrt(sq_rows),
+            estimators.sq_distance_correction(store.metadata),
+            service._scan_gamma(),
+        )
+        for i, view in enumerate(views):
+            block = matrix[:, view.start : view.start + view.size]
+            assert (bounds[:, i] <= block.min(axis=1)).all(), (
+                f"{spec}: norm bound {bounds[:, i]} above the block's least "
+                f"estimates {block.min(axis=1)}"
+            )
 
     def test_lower_bound_covers_float32_rounding_on_collinear_shards(self):
         # regression: the pre-quantisation slack (sized for float64
@@ -195,9 +246,6 @@ class TestPrefilterExactOverQuantisedShards:
         # GEMM rounds estimates below it by ~1e-3 at these magnitudes,
         # so the prefilter could prune a shard holding a true winner.
         # The widened slack must lower-bound every computed estimate.
-        from repro.serving.execution import ExecutionPolicy
-        from repro.serving.service import _shard_lower_bounds
-
         template = _template(64)
         for seed, scale in ((0, 100.0), (1, 1000.0), (3, 10.0)):
             rng = np.random.default_rng(seed)
@@ -210,7 +258,7 @@ class TestPrefilterExactOverQuantisedShards:
             released = dataclasses.replace(
                 template, values=(direction * scale)[np.newaxis, :], labels=()
             )
-            service = DistanceService(store, ExecutionPolicy(prefilter=False))
+            service = DistanceService(store, ExecutionPolicy(workers=1))
             block = service.execute(CrossQuery(queries=released)).payload[0]
             rows = np.asarray(released.values, dtype=np.float64)
             sq_rows = np.einsum("ij,ij->i", rows, rows)

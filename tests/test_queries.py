@@ -29,6 +29,7 @@ from repro.serving import (
     ShardedSketchStore,
     TopKQuery,
 )
+from tests.helpers import full_scan
 
 _CONFIG = SketchConfig(input_dim=128, epsilon=8.0, output_dim=64, sparsity=4, seed=11)
 
@@ -110,24 +111,20 @@ class TestQueryStats:
         # those tests established by monkeypatching the estimator
         sk = _sketcher()
         store, query = self._norm_separated(sk)
-        on = DistanceService(store, ExecutionPolicy(prefilter=True))
-        off = DistanceService(store, ExecutionPolicy(prefilter=False))
+        service = DistanceService(store, ExecutionPolicy())
 
-        radius_on = on.execute(RadiusQuery(query=query, radius_sq=1e9))
+        radius = RadiusQuery(query=query, radius_sq=1e9)
+        radius_on = service.execute(radius)
         assert radius_on.stats.shards_visited == 1
         assert radius_on.stats.shards_pruned == 3
         assert radius_on.stats.rows_scanned == 8
-        radius_off = off.execute(RadiusQuery(query=query, radius_sq=1e9))
-        assert radius_off.stats.shards_pruned == 0
-        assert radius_off.stats.shards_visited == 4
-        assert radius_on.payload == radius_off.payload
+        assert radius_on.payload == full_scan(store, radius)
 
-        top_on = on.execute(TopKQuery(queries=query, k=3))
+        top = TopKQuery(queries=query, k=3)
+        top_on = service.execute(top)
         assert top_on.stats.shards_pruned >= 1
         assert top_on.stats.shards_visited + top_on.stats.shards_pruned == 4
-        top_off = off.execute(TopKQuery(queries=query, k=3))
-        assert top_off.stats.shards_pruned == 0
-        assert top_on.payload == top_off.payload
+        assert top_on.payload == full_scan(store, top)
 
     def test_parallel_policies_report_consistent_prune_totals(self):
         sk = _sketcher()
@@ -343,14 +340,8 @@ class TestExecutionPolicyEnv:
     """Satellite: env parsing fails loudly, and the repr reads well."""
 
     def test_repr(self):
-        assert (
-            repr(ExecutionPolicy())
-            == "ExecutionPolicy(serial, prefilter=on, routing=on)"
-        )
-        assert (
-            repr(ExecutionPolicy(workers=4, prefilter=False))
-            == "ExecutionPolicy(workers=4, prefilter=off, routing=on)"
-        )
+        assert repr(ExecutionPolicy()) == "ExecutionPolicy(serial)"
+        assert repr(ExecutionPolicy(workers=4)) == "ExecutionPolicy(workers=4)"
 
     def test_garbage_worker_count_names_variable_and_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVING_WORKERS", "four")
@@ -363,25 +354,8 @@ class TestExecutionPolicyEnv:
         with pytest.raises(ValueError, match="REPRO_SERVING_WORKERS.*>= 1"):
             ExecutionPolicy.from_env()
 
-    def test_garbage_prefilter_switch_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVING_PREFILTER", "maybe")
-        with pytest.raises(ValueError, match="REPRO_SERVING_PREFILTER='maybe'"):
-            ExecutionPolicy.from_env()
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [("1", True), ("on", True), ("Yes", True), ("0", False), ("OFF", False)],
-    )
-    def test_prefilter_switch_values(self, monkeypatch, raw, expected):
-        monkeypatch.delenv("REPRO_SERVING_WORKERS", raising=False)
-        monkeypatch.setenv("REPRO_SERVING_PREFILTER", raw)
-        assert ExecutionPolicy.from_env().prefilter is expected
-
-    @pytest.mark.parametrize("variable", ["REPRO_SERVING_WORKERS", "REPRO_SERVING_PREFILTER"])
-    def test_empty_env_values_mean_the_default(self, monkeypatch, variable):
+    def test_empty_env_values_mean_the_default(self, monkeypatch):
         # docker-compose / CI YAML "unset" a variable by exporting it
-        # empty; both parsers must treat that as the default, not garbage
-        monkeypatch.delenv("REPRO_SERVING_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_PREFILTER", raising=False)
-        monkeypatch.setenv(variable, "")
-        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=1, prefilter=True)
+        # empty; the parser must treat that as the default, not garbage
+        monkeypatch.setenv("REPRO_SERVING_WORKERS", "")
+        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=1)

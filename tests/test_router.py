@@ -214,3 +214,78 @@ class TestRouterOverHttpBackends:
         # (len() of a DistanceClient backend raises, so expect the error)
         with pytest.raises(ConnectionError):
             client.health()
+
+
+def _tombstoned(dead):
+    """A 20-row store and two 10-row part stores of the same rows, with
+    the labels ``dead`` deleted wherever they live."""
+    sk = PrivateSketcher(_CONFIG)
+    batch = sk.sketch_batch(
+        np.random.default_rng(5).standard_normal((20, 64)), noise_rng=2
+    )
+    single = ShardedSketchStore(shard_capacity=4)
+    single.add_batch(batch, labels=range(20))
+    single.delete(dead)
+    parts = []
+    for lo in (0, 10):
+        part = ShardedSketchStore(shard_capacity=4)
+        part.add_batch(batch[lo : lo + 10], labels=range(lo, lo + 10))
+        part.delete([label for label in dead if lo <= label < lo + 10])
+        parts.append(part)
+    return single, parts
+
+
+#: (deleted labels, pairwise indices).  Two dead rows in the first
+#: backend put the second backend's first rows at live positions 8 and
+#: 9; two dead rows in the last backend make -1 and -2 its last live rows.
+_TOMBSTONE_CASES = [([0, 1], (8, 9)), ([0, 1], (0, 3)), ([18, 19], (-1, -2))]
+_TOMBSTONE_IDS = ["after-dead-rows", "among-dead-rows", "negative"]
+
+
+class TestRouterPairwiseOverTombstones:
+    """Pairwise indices number live rows, whatever the backend kind."""
+
+    def _assert_matches_single_store(self, router, single, indices):
+        query = PairwiseQuery(indices=indices)
+        want = DistanceService(single, ExecutionPolicy(workers=1)).execute(query)
+        got = router.execute(query)
+        assert got.payload.tobytes() == want.payload.tobytes()
+        assert got.stats.rows_total == want.stats.rows_total == 18
+
+    @pytest.mark.parametrize("dead,indices", _TOMBSTONE_CASES, ids=_TOMBSTONE_IDS)
+    def test_local_and_nested_backends(self, dead, indices):
+        single, parts = _tombstoned(dead)
+        services = [DistanceService(p, ExecutionPolicy(workers=1)) for p in parts]
+        with RouterService(services) as router:
+            self._assert_matches_single_store(router, single, indices)
+            assert router.health()["live_rows"] == 18
+        with RouterService([RouterService(services[:1]), services[1]]) as nested:
+            self._assert_matches_single_store(nested, single, indices)
+
+    @pytest.mark.parametrize("dead,indices", _TOMBSTONE_CASES, ids=_TOMBSTONE_IDS)
+    def test_http_backends(self, tmp_path, dead, indices):
+        single, parts = _tombstoned(dead)
+        servers = []
+        try:
+            for i, part in enumerate(parts):
+                part.save(tmp_path / f"part{i}")
+                servers.append(
+                    SketchQueryServer.from_store_dir(
+                        tmp_path / f"part{i}", port=0, policy=ExecutionPolicy(workers=1)
+                    ).start()
+                )
+            router = RouterService(
+                [DistanceClient(s.url) for s in servers], close_backends=True
+            )
+            with router, SketchQueryServer(router, port=0) as front:
+                self._assert_matches_single_store(router, single, indices)
+                # client -> router server -> store servers, and a router
+                # over that client, which reads live rows from the
+                # router server's /healthz
+                with DistanceClient(front.url) as client:
+                    self._assert_matches_single_store(client, single, indices)
+                    with RouterService([client]) as outer:
+                        self._assert_matches_single_store(outer, single, indices)
+        finally:
+            for server in servers:
+                server.close()

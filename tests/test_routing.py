@@ -1,10 +1,11 @@
 """Tests for centroid shard routing and best-first shard visiting.
 
 The load-bearing guarantee is *bit-identity*: a routed query must
-return byte-for-byte the answer an unrouted scan returns, ties
-included, on any store — including adversarial geometries (near
-collinear rows, exact duplicates straddling shard boundaries) and
-multi-row batches, where a sloppy bound would prune a true neighbour.
+return byte-for-byte the answer a full scan of every shard returns
+(``tests.helpers.full_scan``), ties included, on any store — including
+adversarial geometries (near collinear rows, exact duplicates
+straddling shard boundaries) and multi-row batches, where a sloppy
+bound would prune a true neighbour.
 Best-first visiting is tested for the work it saves: a query next to
 one cluster scans that cluster and nothing else.
 
@@ -47,6 +48,7 @@ from repro.serving.serialization import (
     write_routing_blob,
 )
 from repro.serving.service import _shard_lower_bounds
+from tests.helpers import full_scan
 
 _CONFIG = SketchConfig(input_dim=48, epsilon=6.0, output_dim=24, sparsity=4, seed=11)
 
@@ -63,6 +65,27 @@ def _clustered_store(sk, *, n_per=150, n_centers=5, capacity=64, seed=0, noise_r
     store.add_batch(sk.sketch_batch(data, noise_rng=noise_rng))
     store.compact(routing=True, routing_seed=3)
     return store, centers
+
+
+def _release(rows):
+    """Sketch rows ``rows`` (24 coordinates each) as a release."""
+    template = _sketcher().sketch_batch(np.zeros((1, 48)), noise_rng=0)[0:0]
+    return dataclasses.replace(template, values=np.atleast_2d(rows))
+
+
+def _layout(rows, *, table: bool):
+    """An f8 store holding sketch rows ``rows`` as given, 8 to a shard.
+
+    ``table=True`` attaches a routing table for exactly this layout
+    (k-means would regroup the rows); ``table=False`` is the same layout
+    without one, where the norm bound runs alone.
+    """
+    store = ShardedSketchStore(shard_capacity=8, storage="f8")
+    store.add_batch(_release(rows))
+    if table:
+        store._routing = build_shard_routing(store.snapshot())
+        assert store.routing is not None
+    return store
 
 
 def _shard_views(shard_values):
@@ -82,12 +105,11 @@ def _query(sk, point, noise_rng=2):
 
 
 def _assert_bit_identical(store, query_batch, k=10):
-    routed = DistanceService(store)
-    unrouted = DistanceService(store, policy=ExecutionPolicy(routing=False))
-    r = routed.execute(TopKQuery(queries=query_batch, k=k))
-    u = unrouted.execute(TopKQuery(queries=query_batch, k=k))
-    assert r.payload == u.payload
-    return r, u
+    """The bounded top-k over ``store`` equals the full scan; its result."""
+    query = TopKQuery(queries=query_batch, k=k)
+    r = DistanceService(store).execute(query)
+    assert r.payload == full_scan(store, query)
+    return r
 
 
 def _record_scans(monkeypatch, store):
@@ -105,12 +127,6 @@ def _record_scans(monkeypatch, store):
 
     monkeypatch.setattr("repro.core.estimators.cross_sq_distances_from_parts", recorded)
     return views, scanned
-
-
-def _full_scan(store):
-    return DistanceService(
-        store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
-    )
 
 
 class TestKMeans:
@@ -153,7 +169,7 @@ class TestExactModeBitIdentity:
         sk = _sketcher()
         store, centers = _clustered_store(sk)
         for i, c in enumerate(centers):
-            r, _ = _assert_bit_identical(store, _query(sk, c, noise_rng=10 + i))
+            r = _assert_bit_identical(store, _query(sk, c, noise_rng=10 + i))
             total = r.stats.shards_visited + r.stats.shards_pruned
             assert total == store.n_shards
             assert r.stats.shards_routed <= r.stats.shards_pruned
@@ -185,7 +201,7 @@ class TestExactModeBitIdentity:
         for copy in range(3):
             store.add_batch(batch, labels=range(copy * 40, copy * 40 + 40))
         store.compact(routing=True, routing_seed=1)
-        r, u = _assert_bit_identical(store, _query(sk, base[5], noise_rng=8), k=9)
+        r = _assert_bit_identical(store, _query(sk, base[5], noise_rng=8), k=9)
         estimates = [est for _, est in r.payload[0]]
         labels = [label for label, _ in r.payload[0]]
         assert len(set(estimates)) < len(estimates)  # genuine ties present
@@ -201,25 +217,14 @@ class TestExactModeBitIdentity:
         q = _query(sk, centers[2])
         probe = DistanceService(store).execute(TopKQuery(queries=q, k=20))
         radius_sq = probe.payload[0][-1][1]
-        routed = DistanceService(store).execute(
-            RadiusQuery(query=q, radius_sq=radius_sq)
-        )
-        unrouted = DistanceService(
-            store, policy=ExecutionPolicy(routing=False)
-        ).execute(RadiusQuery(query=q, radius_sq=radius_sq))
-        assert routed.payload == unrouted.payload
+        query = RadiusQuery(query=q, radius_sq=radius_sq)
+        routed = DistanceService(store).execute(query)
+        assert routed.payload == full_scan(store, query)
         assert routed.stats.shards_routed > 0  # far clusters provably out
-
-    def test_policy_switch_disables_exact_stage(self):
-        sk = _sketcher()
-        store, centers = _clustered_store(sk)
-        off = DistanceService(store, policy=ExecutionPolicy(routing=False))
-        r = off.execute(TopKQuery(queries=_query(sk, centers[0]), k=5))
-        assert r.stats.shards_routed == 0
 
     def test_quantised_store_routed_exact(self):
         # the gamma envelope widens the bound on f4 stores; identity
-        # must hold against the same-storage unrouted scan
+        # must hold against the full scan of the same f4 layout
         sk = _sketcher()
         store, centers = _clustered_store(sk)
         store.compact(storage="f4", routing=True, routing_seed=3)
@@ -266,13 +271,10 @@ class TestBestFirstVisiting:
         sk = _sketcher()
         store, centers = _clustered_store(sk)
         bounded = DistanceService(store, policy=ExecutionPolicy(workers=1))
-        full = DistanceService(
-            store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
-        )
         for c in centers:
             query = TopKQuery(queries=_query(sk, c), k=10)
             r = bounded.execute(query)
-            assert r.payload == full.execute(query).payload
+            assert r.payload == full_scan(store, query)
             assert r.stats.rows_scanned <= 150
             assert r.stats.shards_routed > 0
 
@@ -307,13 +309,12 @@ class TestBestFirstVisiting:
         sk = _sketcher()
         store, centers = _clustered_store(sk)
         bounded = DistanceService(store, policy=ExecutionPolicy(workers=1))
-        full = _full_scan(store)
         for c in centers:
             q = _query(sk, c)
-            radius_sq = full.execute(TopKQuery(queries=q, k=10)).payload[0][-1][1]
+            radius_sq = full_scan(store, TopKQuery(queries=q, k=10))[0][-1][1]
             query = RadiusQuery(query=q, radius_sq=radius_sq)
             r = bounded.execute(query)
-            assert r.payload == full.execute(query).payload
+            assert r.payload == full_scan(store, query)
             assert len(r.payload) >= 10
             assert r.stats.rows_scanned <= 150
 
@@ -324,7 +325,7 @@ class TestBestFirstVisiting:
         store, centers = _clustered_store(sk)
         query = TopKQuery(queries=_query(sk, centers[0]), k=len(store) + 1)
         r = DistanceService(store, policy=ExecutionPolicy(workers=1)).execute(query)
-        assert r.payload == _full_scan(store).execute(query).payload
+        assert r.payload == full_scan(store, query)
         assert len(r.payload[0]) == len(store)
         assert (r.stats.shards_visited, r.stats.shards_pruned) == (store.n_shards, 0)
 
@@ -375,37 +376,45 @@ class TestCombinedBound:
         # sits on B, at C's norm: the norm bound cannot, the ball can.
         # Only the larger of the two rules C out for the whole batch,
         # so C counts as pruned, not routed.
-        template = _sketcher().sketch_batch(np.zeros((1, 48)), noise_rng=0)[0:0]
         eye = np.eye(24)
         near_b = -np.sqrt(6100.0) * eye[0]
         spokes = 50.0 * eye[0] + 60.0 * np.concatenate([eye[1:5], -eye[1:5]])
         jitter = np.random.default_rng(0).normal(size=(2, 8, 24)) * 0.01
         rows = np.concatenate([jitter[0], near_b + jitter[1], spokes])
-        store = ShardedSketchStore(shard_capacity=8, storage="f8")
-        store.add_batch(dataclasses.replace(template, values=rows))
-        # a table for exactly this layout: k-means would split the spokes
-        store._routing = build_shard_routing(store.snapshot())
-        assert store.routing is not None
-        query = TopKQuery(
-            queries=dataclasses.replace(
-                template, values=np.stack([np.zeros(24), near_b])
-            ),
-            k=2,
+        store = _layout(rows, table=True)
+        queries = _release(np.stack([np.zeros(24), near_b]))
+        query = TopKQuery(queries=queries, k=2)
+        svc = DistanceService(store, policy=ExecutionPolicy(workers=1))
+
+        # each bound alone, against each row's final k-th best estimate:
+        # a shard whose bound is at or below it for some row is never
+        # ruled out, whatever the cutoff was when the shard came up
+        cross = svc.execute(CrossQuery(queries=queries)).payload
+        cutoff = np.sort(cross, axis=1)[:, query.k - 1, np.newaxis]
+        q = np.asarray(queries.values, dtype=np.float64)
+        sq = np.einsum("ij,ij->i", q, q)
+        args = (
+            sq,
+            np.sqrt(sq),
+            estimators.sq_distance_correction(store.metadata),
+            svc._scan_gamma(),
         )
-        results = {
-            (prefilter, routing): DistanceService(
-                store,
-                policy=ExecutionPolicy(workers=1, prefilter=prefilter, routing=routing),
-            ).execute(query)
-            for prefilter in (False, True)
-            for routing in (False, True)
-        }
-        want = results[False, False].payload
-        assert all(r.payload == want for r in results.values())
-        assert results[True, False].stats.shards_pruned == 0
-        assert results[False, True].stats.shards_pruned == 0
-        both = results[True, True].stats
-        assert (both.shards_visited, both.shards_pruned, both.shards_routed) == (2, 1, 0)
+        norm = _shard_lower_bounds(store.snapshot(), *args)
+        ball = store.routing.lower_bounds(q, *args)
+        assert (norm[:, 2] > cutoff[:, 0]).tolist() == [True, False]
+        assert (ball[:, 2] > cutoff[:, 0]).tolist() == [False, True]
+        assert not (norm > cutoff).all(axis=0).any()
+        assert not (ball > cutoff).all(axis=0).any()
+        assert (np.fmax(norm, ball) > cutoff).all(axis=0).tolist() == [False, False, True]
+
+        # served: the same layout without its table runs the norm
+        # bound alone and prunes nothing; with the table it prunes C
+        plain = DistanceService(_layout(rows, table=False), ExecutionPolicy(workers=1))
+        norm_only, both = plain.execute(query), svc.execute(query)
+        assert norm_only.payload == both.payload == full_scan(store, query)
+        assert norm_only.stats.shards_pruned == 0
+        stats = both.stats
+        assert (stats.shards_visited, stats.shards_pruned, stats.shards_routed) == (2, 1, 0)
 
 
 class TestBoundedScanMatchesFullScan:
@@ -438,21 +447,17 @@ class TestBoundedScanMatchesFullScan:
         queries = sk.sketch_batch(
             near + rng.normal(size=(n_queries, 48)) * 0.5, noise_rng=seed + 1
         )
-        full = DistanceService(
-            store, policy=ExecutionPolicy(workers=1, prefilter=False, routing=False)
-        )
         top = TopKQuery(queries=queries, k=k)
-        want_top = full.execute(top)
-        radius_sq = want_top.payload[0][-1][1]
+        want_top = full_scan(store, top)
+        radius_sq = want_top[0][-1][1]
         radius = RadiusQuery(query=queries.row(0), radius_sq=radius_sq)
         with DistanceService(store, policy=ExecutionPolicy(workers=workers)) as bounded:
-            for query, want in ((top, want_top), (radius, full.execute(radius))):
+            for query, want in ((top, want_top), (radius, full_scan(store, radius))):
                 got = bounded.execute(query)
-                assert got.payload == want.payload
+                assert got.payload == want
                 stats = got.stats
                 assert stats.shards_visited + stats.shards_pruned == store.n_shards
                 assert stats.shards_routed <= stats.shards_pruned
-                assert want.stats.shards_pruned == 0
 
 
 class TestStaleness:
@@ -658,24 +663,23 @@ class TestStatsInvariants:
             assert stats.shards_routed <= stats.shards_pruned
 
     def test_routed_counts_what_the_ball_bound_alone_prunes(self):
-        # with the norm bound off every skip is the ball's; with the
-        # ball off none is
-        sk = _sketcher()
-        store, centers = _clustered_store(sk)
-        q = _query(sk, centers[0])
-        ball_only = DistanceService(
-            store, policy=ExecutionPolicy(workers=1, prefilter=False)
-        )
-        norm_only = DistanceService(
-            store, policy=ExecutionPolicy(workers=1, routing=False)
-        )
+        # four clusters of eight rows at 40 * e_j share one norm, so the
+        # norm bound rules nothing out: the same layout without its
+        # table prunes nothing, and with it every skip is the ball's
+        eye = np.eye(24)
+        jitter = np.random.default_rng(1).normal(size=(4, 8, 24)) * 0.01
+        rows = np.concatenate([40.0 * eye[j] + jitter[j] for j in range(4)])
+        q = _release(40.0 * eye[0])
+        routed = DistanceService(_layout(rows, table=True), ExecutionPolicy(workers=1))
+        plain = DistanceService(_layout(rows, table=False), ExecutionPolicy(workers=1))
         for query in (
             TopKQuery(queries=q, k=5),
             RadiusQuery(query=q, radius_sq=100.0),
         ):
-            ball = ball_only.execute(query).stats
-            assert ball.shards_routed == ball.shards_pruned > 0
-            assert norm_only.execute(query).stats.shards_routed == 0
+            ball = routed.execute(query).stats
+            assert ball.shards_routed == ball.shards_pruned == 3
+            norm = plain.execute(query).stats
+            assert (norm.shards_pruned, norm.shards_routed) == (0, 0)
 
     def test_shards_routed_in_as_dict(self):
         from repro.serving import QueryStats

@@ -1,9 +1,10 @@
-"""The shard-parallel query plane: policies, prefilter, concurrency.
+"""The shard-parallel query plane: policies, the norm bound, concurrency.
 
 The contract under test is strict: whatever the
-:class:`~repro.serving.execution.ExecutionPolicy` — serial, thread
-pool of any size, prefilter on or off — every query type returns
-**bit-identical** results, and concurrent readers always observe a
+:class:`~repro.serving.execution.ExecutionPolicy` — serial or a thread
+pool of any size — every query type returns **bit-identical** results,
+top-k and radius equal to a full scan of every shard
+(``tests.helpers.full_scan``), and concurrent readers always observe a
 consistent prefix of a store that a writer keeps appending to.
 """
 
@@ -29,6 +30,7 @@ from tests.helpers import (
     execute_radius as _radius,
     execute_top_k as _top_k,
     execute_top_k_batch as _top_k_batch,
+    full_scan,
     scan_jitter_atol,
 )
 
@@ -44,9 +46,13 @@ def _batch(sk, n, seed, labels=()):
     return sk.sketch_batch(rng.standard_normal((n, 128)), noise_rng=seed, labels=labels)
 
 
-def _store(sk, n=60, shard_capacity=7, seed=21):
+def _store(sk, n=60, shard_capacity=7, seed=21, routed=False):
+    """``n`` random rows; ``routed`` regroups them by a routed compaction,
+    so the centroid-ball bound joins the norm bound."""
     store = ShardedSketchStore(shard_capacity=shard_capacity)
     store.add_batch(_batch(sk, n, seed))
+    if routed:
+        store.compact(routing=True, routing_seed=0)
     return store
 
 
@@ -57,11 +63,9 @@ class TestExecutionPolicy:
 
     def test_from_env(self, monkeypatch):
         monkeypatch.delenv("REPRO_SERVING_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_SERVING_PREFILTER", raising=False)
-        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=1, prefilter=True)
+        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=1)
         monkeypatch.setenv("REPRO_SERVING_WORKERS", "4")
-        monkeypatch.setenv("REPRO_SERVING_PREFILTER", "0")
-        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=4, prefilter=False)
+        assert ExecutionPolicy.from_env() == ExecutionPolicy(workers=4)
 
     def test_default_service_policy_comes_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SERVING_WORKERS", "3")
@@ -91,49 +95,62 @@ class TestExecutionPolicy:
 
 
 class TestParallelSerialBitEquality:
-    """Every policy must reproduce the serial results exactly."""
+    """Every policy must reproduce the full scan and the serial matrices exactly.
+
+    Each test runs on the random store as stored, where neither bound
+    skips a shard, and on a routed compaction of it, where the ball
+    bound skips shards, so the pool merges a partial scan.
+    """
 
     POLICIES = [
-        ExecutionPolicy(workers=2, prefilter=False),
-        ExecutionPolicy(workers=2, prefilter=True),
-        ExecutionPolicy(workers=4, prefilter=False),
-        ExecutionPolicy(workers=4, prefilter=True),
-        ExecutionPolicy(workers=8, prefilter=True),
-        ExecutionPolicy(workers=1, prefilter=True),
+        ExecutionPolicy(workers=2),
+        ExecutionPolicy(workers=4),
+        ExecutionPolicy(workers=8),
+        ExecutionPolicy(workers=1),
     ]
+    LAYOUTS = pytest.mark.parametrize("routed", [False, True], ids=["unrouted", "routed"])
 
+    @LAYOUTS
     @pytest.mark.parametrize("policy", POLICIES, ids=str)
-    def test_top_k_and_batch(self, policy):
+    def test_top_k_and_batch(self, policy, routed):
         sk = _sketcher()
-        store = _store(sk)
-        serial = DistanceService(store, ExecutionPolicy(workers=1, prefilter=False))
+        store = _store(sk, routed=routed)
         queries = _batch(sk, 5, 33)
+        skipped = 0
         with DistanceService(store, policy) as service:
             for k in (1, 3, 11, 60, 100):
-                assert _top_k_batch(service, queries, k) == _top_k_batch(
-                    serial, queries, k
-                )
+                top = TopKQuery(queries=queries, k=k)
+                result = service.execute(top)
+                assert result.payload == full_scan(store, top)
+                skipped += result.stats.shards_routed
             single = queries.row(0)
-            assert _top_k(service, single, 7) == _top_k(serial, single, 7)
+            assert _top_k(service, single, 7) == full_scan(
+                store, TopKQuery(queries=single, k=7)
+            )[0]
+        assert (skipped > 0) == routed  # only a routing table skips shards
 
+    @LAYOUTS
     @pytest.mark.parametrize("policy", POLICIES, ids=str)
-    def test_radius(self, policy):
+    def test_radius(self, policy, routed):
         sk = _sketcher()
-        store = _store(sk)
-        serial = DistanceService(store, ExecutionPolicy(workers=1, prefilter=False))
+        store = _store(sk, routed=routed)
         query = sk.sketch(np.ones(128), noise_rng=3)
-        flat = _cross(serial, query)[0]
+        flat = _cross(DistanceService(store, ExecutionPolicy(workers=1)), query)[0]
+        skipped = 0
         with DistanceService(store, policy) as service:
             for cutoff in (0.0, float(np.min(flat)), float(np.median(flat)), 1e12):
-                assert _radius(service, query, cutoff) == _radius(
-                    serial, query, cutoff
-                )
+                radius = RadiusQuery(query=query, radius_sq=cutoff)
+                result = service.execute(radius)
+                assert result.payload == full_scan(store, radius)
+                skipped += result.stats.shards_routed
+        assert (skipped > 0) == routed
 
+    @LAYOUTS
     @pytest.mark.parametrize("policy", POLICIES, ids=str)
-    def test_cross_and_pairwise_submatrix(self, policy):
+    def test_cross_and_pairwise_submatrix(self, policy, routed):
         sk = _sketcher()
-        store = _store(sk)
-        serial = DistanceService(store, ExecutionPolicy(workers=1, prefilter=False))
+        store = _store(sk, routed=routed)
+        serial = DistanceService(store, ExecutionPolicy(workers=1))
         queries = _batch(sk, 4, 9)
         picks = PairwiseQuery(indices=(0, 13, 14, 41, 59))
         with DistanceService(store, policy) as service:
@@ -188,40 +205,33 @@ class TestNormBoundPrefilter:
     def test_top_k_skips_hopeless_shards(self, monkeypatch):
         sk = _sketcher()
         store, query = _norm_separated_store(sk)
-        want = DistanceService(store, ExecutionPolicy(prefilter=False)).execute(
-            TopKQuery(queries=query, k=3)
-        )
+        top = TopKQuery(queries=query, k=3)
+        want = full_scan(store, top)
         calls = self._counting(monkeypatch)
-        got = DistanceService(store, ExecutionPolicy(prefilter=True)).execute(
-            TopKQuery(queries=query, k=3)
-        )
-        assert got.payload == want.payload  # identical results...
+        got = DistanceService(store, ExecutionPolicy()).execute(top)
+        assert got.payload == want  # the full scan's results...
         assert len(calls) < store.n_shards  # ...from strictly less work
         # the stats agree with the observed calls, and with the PR 3
         # monkeypatch counters: pruned + visited covers every shard
         assert got.stats.shards_visited == len(calls)
         assert got.stats.shards_pruned == store.n_shards - len(calls)
-        assert want.stats.shards_pruned == 0
 
     def test_radius_skips_out_of_range_shards(self, monkeypatch):
         sk = _sketcher()
         store, query = _norm_separated_store(sk)
         cutoff = 1e9  # covers shard 0 only (others are ~1e12 away)
-        want = DistanceService(store, ExecutionPolicy(prefilter=False)).execute(
-            RadiusQuery(query=query, radius_sq=cutoff)
-        )
+        radius = RadiusQuery(query=query, radius_sq=cutoff)
+        want = full_scan(store, radius)
         calls = self._counting(monkeypatch)
-        got = DistanceService(store, ExecutionPolicy(prefilter=True)).execute(
-            RadiusQuery(query=query, radius_sq=cutoff)
-        )
-        assert got.payload == want.payload
+        got = DistanceService(store, ExecutionPolicy()).execute(radius)
+        assert got.payload == want
         assert len(calls) == 1
         assert got.stats.shards_visited == 1
         assert got.stats.shards_pruned == store.n_shards - 1
 
     def test_prefilter_never_changes_random_workloads(self):
         # property-style: across many random stores/queries/ks the
-        # filtered and unfiltered answers are identical, ties included
+        # bounded answers equal the full scan's, ties included
         sk = _sketcher()
         rng = np.random.default_rng(7)
         for trial in range(10):
@@ -231,14 +241,15 @@ class TestNormBoundPrefilter:
                 shard_capacity=int(rng.integers(2, 9)),
                 seed=100 + trial,
             )
-            on = DistanceService(store, ExecutionPolicy(prefilter=True))
-            off = DistanceService(store, ExecutionPolicy(prefilter=False))
+            service = DistanceService(store, ExecutionPolicy())
             queries = _batch(sk, 3, 200 + trial)
             k = int(rng.integers(1, 8))
-            assert _top_k_batch(on, queries, k) == _top_k_batch(off, queries, k)
-            cutoff = float(np.median(_cross(off, queries.row(0))))
-            assert _radius(on, queries.row(0), cutoff) == _radius(
-                off, queries.row(0), cutoff
+            assert _top_k_batch(service, queries, k) == full_scan(
+                store, TopKQuery(queries=queries, k=k)
+            )
+            cutoff = float(np.median(_cross(service, queries.row(0))))
+            assert _radius(service, queries.row(0), cutoff) == full_scan(
+                store, RadiusQuery(query=queries.row(0), radius_sq=cutoff)
             )
 
     def test_bound_matrix_columns_match_single_shard_calls(self):

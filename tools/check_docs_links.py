@@ -1,8 +1,11 @@
 """Fail on dead relative links in the repository's documentation.
 
-Checks every markdown link/image target in ``docs/**/*.md``,
-``README.md`` and the doc pointers in ``examples/quickstart.py``
-comments. External URLs (``http(s)://``, ``mailto:``) are skipped —
+Checks every markdown link/image target in ``docs/**/*.md`` and
+``README.md``, every ``*.md`` path named in the Python files under
+``src/``, ``benchmarks/``, ``examples/`` and ``tests/`` (docstrings and
+comments point readers at docs by their path from the repository
+root), and the benchmark pointers in ``examples/quickstart.py``.
+External URLs (``http(s)://``, ``mailto:``) are skipped —
 this is a *repo-consistency* check, not a crawler — and anchors are
 verified against the target file's headings when the target is
 markdown, so a renamed section breaks CI just like a renamed file.
@@ -22,8 +25,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # [text](target) and ![alt](target); targets with spaces are not used here
 _MD_LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
-# bare doc-path mentions inside quickstart comments/docstrings
-_DOC_MENTION = re.compile(r"(?:docs/[\w./-]+\.md|benchmarks/[\w./-]+\.py)")
+# a markdown path named in Python source: a whole path token ending in
+# .md, never the tail of a URL or of a longer name
+_MD_MENTION = re.compile(r"(?<![\w./:-])\w[\w./-]*\.md\b")
+# benchmark-file mentions inside quickstart comments/docstrings
+_BENCH_MENTION = re.compile(r"benchmarks/[\w./-]+\.py")
+_PYTHON_DIRS = ("src", "benchmarks", "examples", "tests")
 _EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -78,10 +85,16 @@ def check() -> list[str]:
             error = _check_target(source, match.group(1))
             if error:
                 errors.append(error)
-    # quickstart's docstring/comments point readers at docs and
-    # benchmarks by path; those pointers must not rot either
+    # code points readers at docs by path; those pointers must not rot
+    for directory in _PYTHON_DIRS:
+        for source in sorted((ROOT / directory).glob("**/*.py")):
+            for mention in _MD_MENTION.findall(source.read_text(encoding="utf-8")):
+                if not (ROOT / mention).is_file():
+                    errors.append(
+                        f"{source.relative_to(ROOT)}: dead doc pointer -> {mention}"
+                    )
     quickstart = ROOT / "examples" / "quickstart.py"
-    for mention in _DOC_MENTION.findall(quickstart.read_text(encoding="utf-8")):
+    for mention in _BENCH_MENTION.findall(quickstart.read_text(encoding="utf-8")):
         if not (ROOT / mention).exists():
             errors.append(f"examples/quickstart.py: dead doc pointer -> {mention}")
     return errors
