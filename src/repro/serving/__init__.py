@@ -28,10 +28,12 @@ Above it sits one protocol:
   HTTP frontend over a saved store (memory-mapped, so N worker
   processes share the same shard files) and the client that implements
   the *same* ``execute()`` protocol, making local and remote backends
-  interchangeable.  The client pools keep-alive connections and
-  retries transport failures on a fresh connection; the server can run
-  as ``--processes N`` ``SO_REUSEPORT`` workers over one port and one
-  mmapped store directory;
+  interchangeable.  The client speaks HTTP/1.1 itself over a pool of
+  keep-alive sockets, sending each request in one write, and retries
+  transport failures on a fresh connection; the server writes each
+  reply in one write, and can run as ``--processes N``
+  ``SO_REUSEPORT`` workers over one port and one mmapped store
+  directory;
 * :class:`RouterService` — scatter-gather over an ordered sequence of
   ``execute()`` backends that partition one logical store, merging
   per-backend partials with the same shard-ordered reduction the local

@@ -10,19 +10,26 @@ payloads are bit-identical (the wire codec moves float64 exactly) and
 ``QueryResult.stats`` carries the *server-side* counters, so shard
 pruning stays observable remotely.
 
-The transport is a **connection pool** over :mod:`http.client`: the
-server speaks HTTP/1.1 keep-alive, so requests reuse established TCP
+The transport is a **connection pool** of HTTP/1.1 keep-alive
+sockets that the client speaks itself: each request leaves in one
+``sendall`` (request line, headers and body together), and each reply
+is read as a status line, a bounded run of header lines (the same
+64 KiB-per-line and 100-line limits as :mod:`http.client`) and exactly
+``Content-Length`` body bytes.  Requests reuse established TCP
 connections instead of paying a connect (plus slow-start) per query —
 the difference between ~hundreds and ~thousands of queries per second
 on the loopback, and far more across a real network.  The pool is
 thread-safe: concurrent callers check out distinct connections, and up
-to ``pool_size`` idle connections are retained for reuse.  Transport
+to ``pool_size`` idle connections are retained for reuse; a reply
+returns its connection to the pool only when its framing allows it
+(HTTP/1.1, a ``Content-Length``, no ``Connection: close``).  Transport
 failures (a stale keep-alive connection the server timed out, a reset,
-a refused connect) are retried up to ``retries`` times on a *fresh*
-connection — safe, because every query is a deterministic read: the
-server derives results purely from already-released sketches, so a
-retried request returns byte-identical data and spends no privacy
-budget (see :mod:`repro.serving.cache` for the argument).
+a refused connect, a timeout, a malformed or truncated reply) are
+retried up to ``retries`` times on a *fresh* connection — safe, because
+every query is a deterministic read: the server derives results purely
+from already-released sketches, so a retried request returns
+byte-identical data and spends no privacy budget (see
+:mod:`repro.serving.cache` for the argument).
 
 Error behaviour matches local execution: an incompatible query, an
 empty store or a malformed parameter raises the same exception class a
@@ -39,7 +46,6 @@ queries in a single round trip.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
@@ -47,6 +53,78 @@ import urllib.parse
 
 from repro.serving import wire
 from repro.serving.queries import QueryResult
+
+#: Reply framing bounds, the same as :mod:`http.client`'s: a server (or
+#: anything impersonating one) cannot make the client buffer an
+#: unbounded status or header line, or an unbounded number of headers
+#: (the header lines are counted with their blank terminator).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection: its socket and a buffered reader."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
+
+
+def _read_reply(rfile) -> tuple[int, bytes, bool]:
+    """Read one HTTP/1.x reply; any framing fault raises ``ConnectionError``.
+
+    The connection stays reusable only under HTTP/1.1 with a
+    ``Content-Length`` and no ``Connection: close``; a reply without a
+    length is read to EOF, as :mod:`http.client` does.
+    """
+    line = rfile.readline(_MAX_LINE + 1)
+    if not line:
+        # the server closed the connection before answering: on a
+        # pooled connection, the keep-alive timeout that makes it stale
+        raise ConnectionError("connection closed before the status line")
+    parts = line.split(None, 2)  # version, status code, reason phrase
+    if (
+        len(line) > _MAX_LINE
+        or len(parts) < 2
+        or not parts[0].startswith(b"HTTP/1.")
+        or not (len(parts[1]) == 3 and parts[1].isdigit())
+    ):
+        raise ConnectionError(f"malformed status line {line[:80]!r}")
+    status = int(parts[1])
+    reusable = parts[0] != b"HTTP/1.0"
+    length = None
+    for _ in range(_MAX_HEADERS):
+        line = rfile.readline(_MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            raise ConnectionError("connection closed inside the reply headers")
+        if len(line) > _MAX_LINE:
+            raise ConnectionError(f"reply header line over {_MAX_LINE} bytes")
+        name, _, value = line.partition(b":")
+        name = name.strip().lower()
+        if name == b"content-length":
+            if not value.strip().isdigit():
+                raise ConnectionError(f"malformed Content-Length {value[:80]!r}")
+            length = int(value)
+        elif name == b"connection":
+            reusable = reusable and b"close" not in value.lower()
+        elif name == b"transfer-encoding":
+            raise ConnectionError("chunked replies are not supported")
+    else:
+        raise ConnectionError(f"reply headers run past {_MAX_HEADERS} lines")
+    if length is None:
+        return status, rfile.read(), False
+    body = rfile.read(length)
+    if len(body) < length:
+        raise ConnectionError(f"reply body ended after {len(body)} of {length} bytes")
+    return status, body, reusable
 
 
 class DistanceClient:
@@ -69,8 +147,8 @@ class DistanceClient:
         measurement; ``benchmarks/bench_load.py`` quantifies the gap).
     retries:
         How many times a request is retried on a **transport** failure
-        (refused/reset/stale connection, timeout) before raising
-        ``ConnectionError``.  HTTP-level errors are never retried: a
+        (refused/reset/stale connection, timeout, malformed or truncated
+        reply) before raising ``ConnectionError``.  HTTP-level errors are never retried: a
         4xx re-raises the server's exception immediately, and a 5xx
         raises ``ConnectionError`` immediately so callers distinguish
         a faulting server from an unreachable one.
@@ -102,8 +180,13 @@ class DistanceClient:
         self._host = split.hostname
         self._port = split.port if split.port is not None else 80
         self._prefix = split.path.rstrip("/")
+        if not self._prefix.isascii() or any(c <= " " or c == "\x7f" for c in self._prefix):
+            # the path goes verbatim onto the request line
+            raise ValueError(f"base_url {base_url!r} has a path unfit for a request line")
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._host_header = host if self._port == 80 else f"{host}:{self._port}"
         self._lock = threading.Lock()
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[_Connection] = []
         self._closed = False
         #: transport counters (monotonic): connections actually opened,
         #: requests attempted, and retries spent — pool-reuse and retry
@@ -161,23 +244,20 @@ class DistanceClient:
 
     # -- connection pool -----------------------------------------------------
 
-    def _checkout(self) -> http.client.HTTPConnection:
+    def _checkout(self) -> _Connection:
         with self._lock:
             if self._idle:
                 return self._idle.pop()
             self.connections_opened += 1
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self.timeout
-        )
-        connection.connect()
+        sock = socket.create_connection((self._host, self._port), self.timeout)
         # a small JSON envelope must not sit in Nagle's buffer waiting
         # for the previous exchange's delayed ACK — on a reused
         # keep-alive connection that stall would make pooling *slower*
         # than reconnecting (a close flushes; a live connection waits)
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return connection
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return _Connection(sock)
 
-    def _checkin(self, connection: http.client.HTTPConnection) -> None:
+    def _checkin(self, connection: _Connection) -> None:
         with self._lock:
             if not self._closed and len(self._idle) < self.pool_size:
                 self._idle.append(connection)
@@ -190,13 +270,17 @@ class DistanceClient:
         return self._send("POST", path, body)
 
     def _get(self, path: str) -> bytes:
-        return self._send("GET", path, None)
+        return self._send("GET", path, b"")
 
-    def _send(self, method: str, path: str, body: bytes | None) -> bytes:
-        url = self._prefix + path
-        headers = {"Content-Type": "application/json"}
-        if self.pool_size == 0:
-            headers["Connection"] = "close"
+    def _send(self, method: str, path: str, body: bytes) -> bytes:
+        # the whole request is one buffer, so it leaves in one write
+        close = "Connection: close\r\n" if self.pool_size == 0 else ""
+        message = (
+            f"{method} {self._prefix}{path} HTTP/1.1\r\n"
+            f"Host: {self._host_header}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        ).encode("ascii") + body
         last_exc: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
@@ -207,16 +291,14 @@ class DistanceClient:
                 connection = self._checkout()  # may connect: inside the retry
                 with self._lock:
                     self.requests_sent += 1
-                connection.request(method, url, body=body, headers=headers)
-                response = connection.getresponse()
-                status = response.status
-                blob = response.read()
-                reusable = not response.will_close
-            except (http.client.HTTPException, OSError) as exc:
-                # a transport failure: the connection is in an unknown
-                # state, so drop it and retry on a fresh one — queries
-                # are deterministic reads, so a retry that re-executes
-                # a request the server already answered is harmless
+                connection.sock.sendall(message)
+                status, blob, reusable = _read_reply(connection.rfile)
+            except OSError as exc:
+                # a transport failure (ConnectionError covers a broken
+                # reply): the connection is in an unknown state, so drop
+                # it and retry on a fresh one — queries are deterministic
+                # reads, so a retry that re-executes a request the
+                # server already answered is harmless
                 if connection is not None:
                     connection.close()
                 last_exc = exc

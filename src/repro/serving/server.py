@@ -201,9 +201,10 @@ class _QueryHandler(BaseHTTPRequestHandler):
     service: DistanceService  # injected via the per-server subclass
     cache: ReleaseCache | None = None  # injected likewise when enabled
     server_version = "repro-sketch-query/1"
-    # responses go out as two writes (header block, then body); without
-    # this, Nagle holds the body back waiting for the client's delayed
-    # ACK of the headers — tens of ms added to every keep-alive reply
+    # the stdlib's own error replies (a malformed request line, say) go
+    # out as two writes, header block then body; without this, Nagle
+    # holds the body back waiting for the client's delayed ACK of the
+    # headers — tens of ms added to a keep-alive reply
     disable_nagle_algorithm = True
     #: per-connection socket timeout — a client that stalls mid-body must
     #: not pin a handler thread (and its pending read buffer) forever
@@ -224,16 +225,21 @@ class _QueryHandler(BaseHTTPRequestHandler):
         content_type="application/json",
         cache_state: str | None = None,
     ):
+        # the status line, the headers and the body leave in one write:
+        # send_response() + end_headers() would flush the head on its own
+        head = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(body)}",
+        ]
+        if cache_state is not None:
+            head.append(f"X-Repro-Cache: {cache_state}")
+        if self.close_connection:  # tell the client, don't just drop the socket
+            head.append("Connection: close")
         try:
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            if cache_state is not None:
-                self.send_header("X-Repro-Cache", cache_state)
-            if self.close_connection:  # tell the client, don't just drop the socket
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
+            self.wfile.write(("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body)
         except _CLIENT_DISCONNECT:
             # the client hung up mid-response: its loss, not a fault —
             # drop the connection without the traceback ThreadingHTTPServer
@@ -357,12 +363,13 @@ class _QueryHandler(BaseHTTPRequestHandler):
         if store is None:
             return None  # a router has no cheap store-state token: no caching
         meta = store.metadata
+        rows = len(store)
         return (
-            len(store),
+            rows,
             None if meta is None else meta.config_digest,
             store.storage.name,
             store.generation,
-            len(store.tombstones),
+            rows - store.live_row_count,  # the tombstone count, without a copy
         )
 
     def do_GET(self) -> None:
@@ -391,14 +398,15 @@ class _QueryHandler(BaseHTTPRequestHandler):
         if store is None:
             payload = dict(self.service.health())  # router aggregate
         else:
+            rows, live = len(store), store.live_row_count
             payload = {
                 "status": "ok",
-                "rows": len(store),
-                "live_rows": store.live_row_count,
+                "rows": rows,
+                "live_rows": live,
                 "shards": store.n_shards,
                 "storage": store.storage.name,
                 "generation": store.generation,
-                "tombstones": len(store.tombstones),
+                "tombstones": rows - live,
                 "config_digest": (
                     None if store.metadata is None else store.metadata.config_digest
                 ),

@@ -488,7 +488,9 @@ class ShardedSketchStore:
         self._shards: list = []
         self._labels: list[object] = []
         self._template: SketchBatch | None = None  # zero-row metadata carrier
-        self._tombstones: set[int] = set()  # global row indices, see delete()
+        #: sorted global row indices, see delete(); replaced, never
+        #: mutated, so a snapshot reads one consistent array
+        self._tombstones = np.empty(0, dtype=np.intp)
         #: Bumped every time maintenance rewrites the shard layout;
         #: persisted in the manifest so servers can watch for swaps.
         self.generation: int = 0
@@ -533,7 +535,7 @@ class ShardedSketchStore:
         ``rebuild_routing``.
         """
         routing = self._routing
-        if routing is None or self._tombstones:
+        if routing is None or self._tombstones.size:
             return None
         if not routing.matches(self.shard_sizes()):
             return None
@@ -559,7 +561,7 @@ class ShardedSketchStore:
         return {
             "rows": len(self),
             "live_rows": self.live_row_count,
-            "tombstones": len(self._tombstones),
+            "tombstones": self._tombstones.size,
             "generation": self.generation,
             "shards": self.n_shards,
             "shard_capacity": self.shard_capacity,
@@ -685,16 +687,12 @@ class ShardedSketchStore:
         """
         views = []
         start = 0
-        dead_global = (
-            np.fromiter(sorted(self._tombstones), dtype=np.intp)
-            if self._tombstones
-            else None
-        )
+        dead_global = self._tombstones
         for shard in list(self._shards):
             size = shard.size
             if size:
                 dead = None
-                if dead_global is not None:
+                if dead_global.size:
                     lo, hi = np.searchsorted(dead_global, (start, start + size))
                     if hi > lo:
                         dead = dead_global[lo:hi] - start
@@ -730,12 +728,12 @@ class ShardedSketchStore:
     @property
     def tombstones(self) -> tuple[int, ...]:
         """Sorted global row indices marked deleted (empty when none)."""
-        return tuple(sorted(self._tombstones))
+        return tuple(self._tombstones.tolist())
 
     @property
     def live_row_count(self) -> int:
         """Rows queries actually serve: ``len(self)`` minus tombstones."""
-        return len(self) - len(self._tombstones)
+        return len(self) - self._tombstones.size
 
     def delete(self, labels) -> int:
         """Tombstone every row whose label is in ``labels``; count new ones.
@@ -771,16 +769,18 @@ class ShardedSketchStore:
             raise KeyError(
                 f"labels not in this store: {sorted(missing, key=repr)!r}"
             )
-        rows = {i for positions in matches.values() for i in positions}
-        added = rows - self._tombstones
-        self._tombstones |= added
-        if added:
+        rows = np.fromiter(
+            (i for positions in matches.values() for i in positions), dtype=np.intp
+        )
+        added = np.setdiff1d(rows, self._tombstones)
+        if added.size:
+            self._tombstones = np.union1d(self._tombstones, added)
             # tombstoned shards still satisfy the centroid bounds (they
             # only shrink the live set), but the routing contract is
             # "fresh layout or nothing": mark the table stale so the
             # next compaction rebuilds it over the survivors
             self._routing = None
-        return len(added)
+        return int(added.size)
 
     # -- maintenance ---------------------------------------------------------
 
@@ -839,7 +839,7 @@ class ShardedSketchStore:
         clusters = _cluster_count(routing, self.live_row_count, self.shard_capacity)
         self._shards = []
         self._labels = []
-        self._tombstones = set()
+        self._tombstones = np.empty(0, dtype=np.intp)
         self._routing = None
         self.generation += 1
         n_clusters = _rewrite(sources, self._take, self._seal_tail, clusters, routing_seed)
@@ -952,8 +952,8 @@ class ShardedSketchStore:
             self._template, self.storage, self.shard_capacity, len(views), len(self),
             None if routing is None else _routing_entry(directory, routing),
         )
-        if self._tombstones:
-            facts["tombstones"] = sorted(self._tombstones)
+        if self._tombstones.size:
+            facts["tombstones"] = self._tombstones.tolist()
         return facts
 
     @classmethod
@@ -1007,7 +1007,7 @@ class ShardedSketchStore:
                     f"manifest at {root} tombstones rows {bad} outside the "
                     f"store's {rows} rows"
                 )
-            store._tombstones = {int(t) for t in tombstones}
+            store._tombstones = np.unique(np.array(tombstones, dtype=np.intp))
         if len(store) != manifest["n_rows"]:
             raise SerializationError(
                 f"store at {root} holds {len(store)} rows, manifest says "
@@ -1269,7 +1269,7 @@ def rewrite_store(
         scale = StorageSpec.int8_step(peak)
     keep_labels, start = clusters is not None, 0
     for store in stores:
-        keep_labels = keep_labels or bool(store._tombstones) or not _is_positional(
+        keep_labels = keep_labels or bool(store._tombstones.size) or not _is_positional(
             store._labels, start
         )
         start += len(store)

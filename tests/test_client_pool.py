@@ -85,7 +85,7 @@ class TestConnectionPool:
         with DistanceClient(server.url) as client:
             client.execute(NormsQuery())
             assert len(client._idle) == 1
-            client._idle[0].sock.close()  # yank the socket under the pool
+            client._idle[0].close()  # yank the socket under the pool
             result = client.execute(NormsQuery())
             assert client.retries_used == 1
             assert client.connections_opened == 2

@@ -300,23 +300,34 @@ class TestInProcessServer:
     def test_mid_response_transport_failures_raise_connection_error(self, served, monkeypatch):
         # every checkout hands back a connection that dies mid-exchange:
         # the client must burn its retries and surface ConnectionError,
-        # whether the failure is OSError-shaped or HTTPException-shaped
-        import http.client
+        # whether the peer stalls past the timeout or cuts the body short
+        import socket
+
+        from repro.serving.client import _Connection
 
         _, _, server, _ = served
-        for exc in (TimeoutError("read timed out"), http.client.IncompleteRead(b"x")):
-            client = DistanceClient(server.url, retries=1)
+        short = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nx"
+        for reply, cause in ((None, TimeoutError), (short, ConnectionError)):
+            client = DistanceClient(server.url, timeout=0.2, retries=1)
+            peers = []
 
-            class _DeadConnection:
-                def request(self, *args, _exc=exc, **kwargs):
-                    raise _exc
+            def dead_connection(_reply=reply):
+                ours, theirs = socket.socketpair()
+                ours.settimeout(client.timeout)
+                peers.append(theirs)
+                if _reply is not None:
+                    theirs.sendall(_reply)
+                    theirs.shutdown(socket.SHUT_WR)
+                return _Connection(ours)
 
-                def close(self):
-                    pass
-
-            monkeypatch.setattr(client, "_checkout", _DeadConnection)
-            with pytest.raises(ConnectionError, match="cannot reach"):
-                client.execute(NormsQuery())
+            monkeypatch.setattr(client, "_checkout", dead_connection)
+            try:
+                with pytest.raises(ConnectionError, match="cannot reach") as raised:
+                    client.execute(NormsQuery())
+            finally:
+                for peer in peers:
+                    peer.close()
+            assert type(raised.value.__cause__) is cause
             assert client.retries_used == 1  # retried once, then gave up
 
     def test_untyped_query_raises_type_error_like_local_execute(self, served):
