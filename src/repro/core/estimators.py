@@ -210,28 +210,36 @@ def cross_sq_distances_from_parts(
 ) -> np.ndarray:
     """The cross-distance kernel with caller-supplied squared norms.
 
-    Computes ``sq_a[i] + sq_b[j] - 2 <a_i, b_j> - correction`` — exactly
-    the arithmetic of :func:`cross_sq_distances` — but takes the norm
-    terms precomputed, so a serving layer that caches ``sq_b`` per shard
-    pays only the inner-product BLAS call per query.  No validation is
-    performed; callers are responsible for compatibility checks.
+    Computes ``(sq_a[i] + sq_b[j]) - 2 <a_i, b_j> - correction`` —
+    exactly the arithmetic of :func:`cross_sq_distances`, in that order
+    — but takes the norm terms precomputed, so a serving layer that
+    caches ``sq_b`` per shard pays only the inner-product BLAS call per
+    query.  The epilogue runs in place: one BLAS call and one float64
+    block beside the result, each step rounding exactly as it would
+    into a fresh array.  No validation is performed; callers are
+    responsible for compatibility checks.
 
     **Mixed precision.**  When ``b`` is float32 — a low-precision shard
     served by the quantised store — the inner products run as a native
     float32 GEMM (the queries in ``a`` are cast down once, the big
-    operand streams at half the memory traffic through sgemm), while
-    the norm sums and the debias correction still accumulate in float64
-    from the caller's float64 ``sq_a``/``sq_b``.  The result is always
+    operand streams at half the memory traffic through sgemm) and are
+    cast to float64 before anything else touches them, while the norm
+    sums and the debias correction still accumulate in float64 from
+    the caller's float64 ``sq_a``/``sq_b``.  The result is always
     float64.  The extra rounding this admits is part of the documented
     quantisation envelope (:mod:`repro.theory.quantisation`); the
     float64 path is bit-for-bit unchanged.
     """
     if b.dtype == np.float32:
         products = np.asarray(a, dtype=np.float32) @ b.T
-        products = products.astype(np.float64)
+        doubled = np.multiply(products, 2.0, dtype=np.float64)
     else:
-        products = a @ b.T
-    return sq_a[:, np.newaxis] + sq_b[np.newaxis, :] - 2.0 * products - correction
+        doubled = a @ b.T
+        doubled *= 2.0
+    out = np.add(sq_a[:, np.newaxis], sq_b)
+    out -= doubled
+    out -= correction
+    return out
 
 
 def cross_sq_distances(batch_a, batch_b) -> np.ndarray:

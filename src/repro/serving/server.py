@@ -453,9 +453,15 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
 
 class _QuietHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that does not traceback on client disconnects."""
+    """ThreadingHTTPServer that does not traceback on client disconnects.
+
+    Its listen backlog is the system's ``SOMAXCONN``, not socketserver's
+    5: a burst of new connections that overflows the backlog has its
+    SYNs dropped, and each client waits out a one-second retransmit.
+    """
 
     daemon_threads = True
+    request_queue_size = socket.SOMAXCONN
 
     def handle_error(self, request, client_address):
         if isinstance(sys.exc_info()[1], _CLIENT_DISCONNECT):

@@ -22,9 +22,16 @@ interchangeable.
 
 Top-k, radius and cross queries run through one scan driver.  It
 validates the query, freezes one snapshot, visits the shards and hands
-each live block (tombstoned columns already dropped) to a small
-consumer for the query kind: running top-k selection, radius hits, or
-the cross writer.  Four mechanisms keep large stores fast:
+each shard's distance block to a small consumer for the query kind:
+threshold top-k selection, radius hits, or the cross writer.  A visited
+shard costs one BLAS call plus an epilogue computed in place, in the
+arithmetic order of :func:`repro.core.estimators.cross_sq_distances`.
+Top-k selects by threshold: while a row holds fewer than ``k`` numeric
+candidates a block contributes its ``k`` smallest live entries
+(:func:`stable_smallest_k`); after that only the entries at or below
+the row's running ``k``-th best, which then updates from those few.  A
+final merge over the candidates ranks them exactly as one flat scan
+would.  Four mechanisms keep large stores fast:
 
 * **Shard parallelism** — an :class:`~repro.serving.execution.ExecutionPolicy`
   with ``workers > 1`` dispatches per-shard distance blocks across a
@@ -65,12 +72,16 @@ Two maintenance-facing contracts ride on the same snapshot discipline:
 * **Tombstones** — rows the store has
   :meth:`~repro.serving.store.ShardedSketchStore.delete`-d are invisible
   to every query kind.  Distance blocks are still computed over the
-  full shard and the dead entries discarded afterwards, so the
-  surviving rows' estimates are *bit-identical* to what they were
-  before the deletion — and to what they will be after compaction
-  physically drops the tombstones.  Matrix-shaped payloads (cross,
-  pairwise, norms) cover live rows only, in store order, exactly the
-  shape a compacted store would serve.
+  full shard, in place, and the tombstones read as a mask on the
+  block: top-k and radius see NaN in the dead entries, which no
+  threshold admits and which a top-k row short of ``k`` numbers
+  selects around, and cross copies only the live columns into its
+  output.  The surviving rows' estimates are therefore
+  *bit-identical* to what they were before the deletion — and to what
+  they will be after compaction physically drops the tombstones.
+  Matrix-shaped payloads (cross, pairwise, norms) cover live rows
+  only, in store order, exactly the shape a compacted store would
+  serve.
 * **Live store swap** — every handler reads ``self.store`` exactly
   once, up front; :meth:`DistanceService.swap_store` can therefore
   replace the store mid-flight (e.g. when maintenance publishes a new
@@ -103,6 +114,7 @@ and call ``execute()``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -201,34 +213,19 @@ def _shard_lower_bounds(
     return gap * gap - correction - slack
 
 
-class _RunningBest:
-    """Thread-safe per-row record of the best ``k`` estimates so far.
+def _smallest_live(row: np.ndarray, k: int, dead: np.ndarray | None) -> np.ndarray:
+    """:func:`stable_smallest_k` over the live entries of a masked block row.
 
-    Its :meth:`cutoff` is the top-``k`` pruning threshold: a shard whose
-    lower bound, for every row, is strictly worse than that row's current
-    ``k``-th best cannot contribute.  Under parallel execution the record lags behind
-    the serial schedule, which can only make skipping rarer — never
-    wrong.
+    Tombstoned entries hold NaN, which sorts after every number, so
+    ``k`` picks that are all numbers are already the live answer; only
+    a row short of ``k`` numbers (NaN estimates, or fewer than ``k``
+    entries) selects again over its live entries alone.
     """
-
-    def __init__(self, n_queries: int, k: int) -> None:
-        self._k = k
-        self._lock = threading.Lock()
-        self._best = [np.empty(0)] * n_queries
-
-    def cutoff(self) -> np.ndarray:
-        """Each row's ``k``-th best estimate (``inf`` before ``k`` are seen)."""
-        with self._lock:
-            return np.array(
-                [best[-1] if best.size == self._k else np.inf for best in self._best]
-            )
-
-    def update(self, per_query_estimates: list[np.ndarray]) -> None:
-        with self._lock:
-            for q, estimates in enumerate(per_query_estimates):
-                merged = np.concatenate([self._best[q], estimates])
-                merged.sort()
-                self._best[q] = merged[: self._k]
+    picks = stable_smallest_k(row, k)
+    if dead is None or (picks.size == k and not np.isnan(row[picks[-1]])):
+        return picks
+    live = np.delete(np.arange(row.size), dead)
+    return live[stable_smallest_k(row[live], k)]
 
 
 class _Scan(NamedTuple):
@@ -240,18 +237,6 @@ class _Scan(NamedTuple):
     views: list[ShardView]  # live views only
     offsets: np.ndarray  # each view's first column among the live rows
 
-
-class _Block(NamedTuple):
-    """One shard's live estimates, as the driver hands them to a consumer."""
-
-    values: np.ndarray  # (n_queries, live rows of the shard)
-    live: np.ndarray | None  # local row of each column; None: all rows live
-    start: int
-    offset: int  # first column among the snapshot's live rows
-
-    def positions(self, local: np.ndarray) -> np.ndarray:
-        """Global store positions of the block's columns ``local``."""
-        return (local if self.live is None else self.live[local]) + self.start
 
 
 def _rankings(store: ShardedSketchStore, parts: list, n_queries: int, limit=None) -> list:
@@ -479,13 +464,17 @@ class DistanceService:
         return np.fmax(bounds, route), route
 
     def _visit(self, scan: _Scan, take, cutoff=None) -> tuple[list, QueryStats]:
-        """Hand every shard's live block to ``take``, best shard first.
+        """Hand every shard's distance block to ``take``, best shard first.
 
-        ``cutoff()`` returns the current per-row threshold an estimate
-        must not exceed to matter; a shard whose bound is strictly above
-        it for every row is skipped.  Without a cutoff no bounds are
-        computed and the shards run in storage order.  Returns the
-        non-``None`` results of ``take`` (in visit order) and the stats.
+        ``take(values, view, offset)`` gets a block over every physical
+        row of the shard, its tombstoned entries overwritten with NaN,
+        which no threshold admits; ``offset`` is the view's first column
+        among the snapshot's live rows.  ``cutoff()`` returns the
+        current per-row thresholds an estimate must not exceed to
+        matter; a shard whose bound is strictly above them for every row
+        is skipped.  Without a cutoff no bounds are computed and the
+        shards run in storage order.  Returns the non-``None`` results
+        of ``take`` (in visit order) and the stats.
         """
         views = scan.views
         correction = estimators.sq_distance_correction(scan.store.metadata)
@@ -504,16 +493,14 @@ class DistanceService:
                     scanned[i] = False
                     routed[i] = route is not None and bool(np.all(route[:, i] > limit))
                     return None
-            # the block covers every physical row — dead entries are
-            # dropped after the fact, keeping survivors bit-identical
             values = estimators.cross_sq_distances_from_parts(
                 scan.rows, scan.sq_rows, view.values, view.sq_norms, correction
             )
-            live = None
+            # the block covers every physical row, so the survivors keep
+            # the bits a compacted store would give them
             if view.dead is not None:
-                live = view.live_local()
-                values = values[:, live]
-            return take(_Block(values, live, view.start, int(scan.offsets[i])))
+                values[:, view.dead] = np.nan
+            return take(values, view, int(scan.offsets[i]))
 
         results = self._run_ordered(visit, order.tolist())
         parts = [r for r in results if r is not None]
@@ -562,16 +549,36 @@ class DistanceService:
     def _execute_top_k(self, query: TopKQuery) -> tuple[list, QueryStats]:
         k = query.k
         scan = self._freeze(query.queries)
-        best = _RunningBest(scan.rows.shape[0], k)
+        n_queries = scan.rows.shape[0]
+        # per row: the k smallest estimates taken so far, ascending, and
+        # the k-th of them once all k are numbers (NaN until then) — the
+        # pruning cutoff, and the threshold later blocks select by
+        best = [np.empty(0)] * n_queries
+        kth = [math.nan] * n_queries
+        lock = threading.Lock()
 
-        def take(block: _Block):
-            winners = [stable_smallest_k(row, k) for row in block.values]
-            estimates = [row[w] for row, w in zip(block.values, winners)]
-            best.update(estimates)
-            return [block.positions(w) for w in winners], estimates
+        def take(values, view, offset):
+            positions, estimates = [], []
+            for q, row in enumerate(values):
+                limit = kth[q]
+                if math.isnan(limit):
+                    local = _smallest_live(row, k, view.dead)
+                else:
+                    # ties with the k-th stay in: the merge breaks them
+                    # by global position
+                    local = (row <= limit).nonzero()[0]
+                found = row[local]
+                if found.size:
+                    with lock:
+                        best[q] = merged = np.sort(np.concatenate([best[q], found]))[:k]
+                        if merged.size == k:
+                            kth[q] = float(merged[-1])
+                positions.append(local + view.start)
+                estimates.append(found)
+            return positions, estimates
 
-        parts, stats = self._visit(scan, take, best.cutoff)
-        return _rankings(scan.store, parts, scan.rows.shape[0], k), stats
+        parts, stats = self._visit(scan, take, lambda: kth)
+        return _rankings(scan.store, parts, n_queries, k), stats
 
     def _execute_radius(self, query: RadiusQuery) -> tuple[list, QueryStats]:
         radius_sq = query.radius_sq
@@ -579,9 +586,9 @@ class DistanceService:
         if scan.rows.shape[0] != 1:
             raise ValueError("radius queries take a single sketch")
 
-        def take(block: _Block):
-            hits = np.flatnonzero(block.values[0] <= radius_sq)
-            return [block.positions(hits)], [block.values[0][hits]]
+        def take(values, view, offset):
+            hits = np.flatnonzero(values[0] <= radius_sq)
+            return [hits + view.start], [values[0][hits]]
 
         parts, stats = self._visit(scan, take, lambda: radius_sq)
         return _rankings(scan.store, parts, 1)[0], stats
@@ -592,8 +599,14 @@ class DistanceService:
         # a compacted (tombstone-free) store would serve
         out = np.empty((scan.rows.shape[0], int(scan.offsets[-1])))
 
-        def take(block: _Block) -> None:
-            out[:, block.offset : block.offset + block.values.shape[1]] = block.values
+        def take(values, view, offset) -> None:
+            columns = out[:, offset : offset + view.live_size]
+            if view.dead is None:
+                columns[...] = values
+            else:
+                live = np.ones(view.size, dtype=bool)
+                live[view.dead] = False
+                np.compress(live, values, axis=1, out=columns)
 
         return out, self._visit(scan, take)[1]
 
@@ -620,7 +633,7 @@ class DistanceService:
             mask = shard_ids == shard
             rows = local[mask]
             if view.dead is not None:
-                rows = view.live_local()[rows]
+                rows = np.delete(np.arange(view.size), view.dead)[rows]
             gathered[mask] = view.values[rows]
         subset = dataclasses.replace(store.metadata, values=gathered, labels=())
         # shards the gather never touches count as pruned (skipped without
@@ -646,9 +659,7 @@ class DistanceService:
         norms = (
             np.concatenate(
                 [
-                    view.sq_norms
-                    if view.dead is None
-                    else view.sq_norms[view.live_local()]
+                    view.sq_norms if view.dead is None else np.delete(view.sq_norms, view.dead)
                     for view in views
                 ]
             )

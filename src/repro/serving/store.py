@@ -331,11 +331,13 @@ class _MappedShard:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            # f8/f4 stay lazy memory maps (decode is a no-op); f2/int8
+            # f8/f4 stay lazy memory maps (decode is a no-op), served as
+            # a plain ndarray view whose base keeps the map alive, so a
+            # scan's slices skip np.memmap's per-slice hooks; f2/int8
             # decode into a resident float32 array on first touch
             decoded = self.storage.decode(map_values(self._info), self.scale)
             decoded.flags.writeable = False
-            self._values = decoded
+            self._values = decoded.view(np.ndarray)
         return self._values
 
     def iter_codes(self, block_rows: int = DEFAULT_BLOCK_ROWS):
@@ -371,10 +373,11 @@ class ShardView:
     ``dead`` is the sorted array of *local* row indices tombstoned at
     snapshot time (``None`` when the shard has none — the overwhelmingly
     common case, kept allocation-free).  Values and norms still cover
-    every physical row: scanning the full block and discarding dead
-    entries afterwards is what keeps the surviving rows' estimates
-    bit-identical before and after the tombstones are physically
-    compacted away.
+    every physical row: a scan computes each shard's full block in
+    place and reads ``dead`` as a mask on it (top-k and radius see NaN
+    there, cross copies only the live columns), which is what keeps
+    the surviving rows' estimates bit-identical before and after the
+    tombstones are physically compacted away.
     """
 
     __slots__ = ("start", "size", "dead", "_shard")
@@ -389,12 +392,6 @@ class ShardView:
     def live_size(self) -> int:
         """Rows the snapshot actually serves (``size`` minus tombstones)."""
         return self.size if self.dead is None else self.size - len(self.dead)
-
-    def live_local(self) -> np.ndarray:
-        """Sorted *local* indices of the view's untombstoned rows."""
-        if self.dead is None:
-            return np.arange(self.size, dtype=np.intp)
-        return np.delete(np.arange(self.size, dtype=np.intp), self.dead)
 
     @property
     def values(self) -> np.ndarray:

@@ -8,6 +8,7 @@ produce, and any append invalidates every prior entry.
 """
 
 import http.client
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -114,6 +115,28 @@ class TestConnectionPool:
             np.testing.assert_array_equal(payload, expected)
         assert client.requests_sent == 24
         assert client.connections_opened <= 24
+
+    def test_a_burst_of_new_connections_waits_for_no_syn_retransmit(self, served):
+        # eight callers opening a connection per request overflow a
+        # listen backlog of 5: the kernel drops the SYNs, and each
+        # dropped one costs its request a one-second retransmit; the
+        # bound sits just under that, leaving room for a loaded runner
+        sk, local, server = served
+        query = TopKQuery(queries=sk.sketch(np.ones(64), noise_rng=3), k=3)
+        expected = local.execute(query).payload
+
+        def one_caller(_):
+            slowest = 0.0
+            with DistanceClient(server.url, pool_size=0) as client:
+                for _ in range(100):
+                    started = time.perf_counter()
+                    assert client.execute(query).payload == expected
+                    slowest = max(slowest, time.perf_counter() - started)
+            return slowest
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            slowest = max(pool.map(one_caller, range(8)))
+        assert slowest < 0.9, f"a request took {slowest:.2f} s"
 
     def test_oversized_body_raises_value_error_and_pool_recovers(
         self, served, monkeypatch

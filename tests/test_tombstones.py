@@ -5,8 +5,10 @@ published values (PR 7's LSM tentpole).  The contracts under test:
 
 * deleted rows vanish from every query kind, and the *survivors'*
   estimates are bit-identical to what they were before the deletion —
-  distance blocks still run over the full shard, dead entries are
-  discarded after the GEMM, so no float changes;
+  distance blocks still run over the full shard and read the dead
+  entries as a mask, so no float changes;
+* top-k selection and the masks agree with one unbounded pass over
+  NaN, infinite and duplicate rows (a hypothesis property);
 * tombstones persist through ``save``/``load`` via the manifest;
 * ``compact()`` physically drops the rows (labels included), clears
   the tombstone set and bumps the generation;
@@ -17,22 +19,26 @@ Deletion never refunds privacy budget — the DP argument lives in the
 accounting surface (``live_row_count``, ``describe``) tells the truth.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.sketch import PrivateSketcher, SketchConfig
 from repro.serving import (
     CrossQuery,
     DistanceService,
+    ExecutionPolicy,
     NormsQuery,
     PairwiseQuery,
     RadiusQuery,
     ShardedSketchStore,
     TopKQuery,
 )
-from tests.helpers import scan_jitter_atol
+from tests.helpers import full_scan, scan_jitter_atol
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=7)
 
@@ -273,3 +279,80 @@ class TestCompactDropsTombstones:
             "a-0", "a-2", "a-3", "a-5", "b-1", "b-2", "b-3", "b-4",
         ]
         np.testing.assert_array_equal(_stacked(merged), expect)
+
+
+def _bits(ranking):
+    """A ranking with each estimate as its bytes, so NaN equals itself."""
+    return [(label, np.float64(estimate).tobytes()) for label, estimate in ranking]
+
+
+class TestSelectionAndMasksProperty:
+    """Top-k selection and tombstone masks against one unbounded pass.
+
+    Stores repeat a few distinct rows at a few norm scales (exact ties,
+    and bounds that visit shards out of storage order), carry NaN and
+    infinite rows (f8 and f4 both hold them) and lose random rows and
+    whole shards to deletes.  For every ``k`` up to past the live rows,
+    top-k must equal :func:`tests.helpers.full_scan` bit for bit, and so
+    must radius at 0, at an estimate and at infinity; cross must be the
+    pre-delete matrix's live columns; no tombstoned label may surface.
+    """
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_masked_scans_equal_the_full_scan(self, data):
+        n = data.draw(st.integers(1, 20), label="rows")
+        capacity = data.draw(st.integers(1, 8), label="shard_capacity")
+        storage = data.draw(st.sampled_from(["f8", "f4"]), label="storage")
+        odd_share = data.draw(st.sampled_from([0.0, 0.3, 0.8]), label="NaN/inf share")
+        dead_share = data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="dead share")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        rng = np.random.default_rng(seed)
+        pool = rng.standard_normal((rng.integers(1, 5), 32))
+        pool *= rng.choice([0.25, 1.0, 4.0], size=(len(pool), 1))
+        values = pool[rng.integers(0, len(pool), size=n)]
+        odd = np.flatnonzero(rng.random(n) < odd_share)
+        values[odd, rng.integers(0, 32, size=odd.size)] = rng.choice(
+            [np.nan, np.inf, -np.inf], size=odd.size
+        )
+        sk = _sketcher()
+        labels = tuple(f"row-{i}" for i in range(n))
+        batch = dataclasses.replace(_batch(sk, n, seed), values=values, labels=labels)
+        store = ShardedSketchStore(shard_capacity=capacity, storage=storage)
+        store.add_batch(batch)
+
+        m = data.draw(st.integers(1, 6), label="query rows")
+        queries = _batch(sk, m, seed + 1)
+        queries = dataclasses.replace(
+            queries, values=queries.values * rng.choice([0.25, 1.0, 4.0], size=(m, 1))
+        )
+        before = DistanceService(store).execute(CrossQuery(queries=queries)).payload
+
+        doomed = set(np.flatnonzero(rng.random(n) < dead_share).tolist())
+        for shard in data.draw(st.lists(st.integers(0, (n - 1) // capacity), max_size=2)):
+            doomed.update(range(shard * capacity, min(n, (shard + 1) * capacity)))
+        if doomed:
+            store.delete([labels[i] for i in doomed])
+        dead = {labels[i] for i in doomed}
+        live = np.setdiff1d(np.arange(n), sorted(doomed))
+
+        # a finite radius is one of the estimates themselves: a tie at the edge
+        edges = before[np.isfinite(before) & (before >= 0)].tolist() or [1.0]
+        radius_sq = data.draw(
+            st.sampled_from([0.0, np.inf]) | st.sampled_from(edges), label="radius_sq"
+        )
+        reference = full_scan(store, TopKQuery(queries=queries, k=n + 1))
+        for workers in (1, 4):
+            with DistanceService(store, ExecutionPolicy(workers=workers)) as service:
+                for k in range(1, n + 2):
+                    ranked = service.execute(TopKQuery(queries=queries, k=k)).payload
+                    assert [_bits(r) for r in ranked] == [_bits(r[:k]) for r in reference]
+                    assert not dead & {label for r in ranked for label, _ in r}
+                for row in range(m):
+                    radius = RadiusQuery(query=queries.row(row), radius_sq=radius_sq)
+                    hits = service.execute(radius).payload
+                    assert _bits(hits) == _bits(full_scan(store, radius))
+                    assert not dead & {label for label, _ in hits}
+                cross = service.execute(CrossQuery(queries=queries)).payload
+                assert cross.tobytes() == before[:, live].tobytes()
