@@ -13,16 +13,18 @@ pruning stays observable remotely.
 The transport is a **connection pool** of HTTP/1.1 keep-alive
 sockets that the client speaks itself: each request leaves in one
 ``sendall`` (request line, headers and body together), and each reply
-is read as a status line, a bounded run of header lines (the same
-64 KiB-per-line and 100-line limits as :mod:`http.client`) and exactly
-``Content-Length`` body bytes.  Requests reuse established TCP
+is read as a status line, a head and exactly ``Content-Length`` body
+bytes.  The head is read under the bounds and rules of
+:mod:`repro.serving.http11` (64 KiB per line, 100 lines), the module
+the server reads requests with.  Requests reuse established TCP
 connections instead of paying a connect (plus slow-start) per query —
 the difference between ~hundreds and ~thousands of queries per second
 on the loopback, and far more across a real network.  The pool is
 thread-safe: concurrent callers check out distinct connections, and up
 to ``pool_size`` idle connections are retained for reuse; a reply
-returns its connection to the pool only when its framing allows it
-(HTTP/1.1, a ``Content-Length``, no ``Connection: close``).  Transport
+returns its connection to the pool only when its framing allows it (a
+``Content-Length``, and HTTP/1.1 without ``Connection: close`` or
+HTTP/1.0 with ``Connection: keep-alive``).  Transport
 failures (a stale keep-alive connection the server timed out, a reset,
 a refused connect, a timeout, a malformed or truncated reply) are
 retried up to ``retries`` times on a *fresh* connection — safe, because
@@ -51,15 +53,8 @@ import socket
 import threading
 import urllib.parse
 
-from repro.serving import wire
+from repro.serving import http11, wire
 from repro.serving.queries import QueryResult
-
-#: Reply framing bounds, the same as :mod:`http.client`'s: a server (or
-#: anything impersonating one) cannot make the client buffer an
-#: unbounded status or header line, or an unbounded number of headers
-#: (the header lines are counted with their blank terminator).
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
 
 
 class _Connection:
@@ -79,52 +74,31 @@ class _Connection:
 def _read_reply(rfile) -> tuple[int, bytes, bool]:
     """Read one HTTP/1.x reply; any framing fault raises ``ConnectionError``.
 
-    The connection stays reusable only under HTTP/1.1 with a
-    ``Content-Length`` and no ``Connection: close``; a reply without a
-    length is read to EOF, as :mod:`http.client` does.
+    The head goes through :func:`repro.serving.http11.read_head`, whose
+    :class:`~repro.serving.http11.FramingError` is a ``ConnectionError``.
+    The connection stays reusable unless the head closes it; a reply
+    without a length is read to EOF, as :mod:`http.client` does.
     """
-    line = rfile.readline(_MAX_LINE + 1)
+    line = rfile.readline(http11.MAX_LINE + 1)
     if not line:
         # the server closed the connection before answering: on a
         # pooled connection, the keep-alive timeout that makes it stale
         raise ConnectionError("connection closed before the status line")
     parts = line.split(None, 2)  # version, status code, reason phrase
     if (
-        len(line) > _MAX_LINE
+        len(line) > http11.MAX_LINE
         or len(parts) < 2
         or not parts[0].startswith(b"HTTP/1.")
         or not (len(parts[1]) == 3 and parts[1].isdigit())
     ):
         raise ConnectionError(f"malformed status line {line[:80]!r}")
-    status = int(parts[1])
-    reusable = parts[0] != b"HTTP/1.0"
-    length = None
-    for _ in range(_MAX_HEADERS):
-        line = rfile.readline(_MAX_LINE + 1)
-        if line in (b"\r\n", b"\n"):
-            break
-        if not line:
-            raise ConnectionError("connection closed inside the reply headers")
-        if len(line) > _MAX_LINE:
-            raise ConnectionError(f"reply header line over {_MAX_LINE} bytes")
-        name, _, value = line.partition(b":")
-        name = name.strip().lower()
-        if name == b"content-length":
-            if not value.strip().isdigit():
-                raise ConnectionError(f"malformed Content-Length {value[:80]!r}")
-            length = int(value)
-        elif name == b"connection":
-            reusable = reusable and b"close" not in value.lower()
-        elif name == b"transfer-encoding":
-            raise ConnectionError("chunked replies are not supported")
-    else:
-        raise ConnectionError(f"reply headers run past {_MAX_HEADERS} lines")
-    if length is None:
-        return status, rfile.read(), False
-    body = rfile.read(length)
-    if len(body) < length:
-        raise ConnectionError(f"reply body ended after {len(body)} of {length} bytes")
-    return status, body, reusable
+    head = http11.read_head(rfile, persistent=parts[0] != b"HTTP/1.0")
+    if head.length is None:
+        return int(parts[1]), rfile.read(), False
+    body = rfile.read(head.length)
+    if len(body) < head.length:
+        raise ConnectionError(f"reply body ended after {len(body)} of {head.length} bytes")
+    return int(parts[1]), body, not head.close
 
 
 class DistanceClient:

@@ -33,6 +33,30 @@ wire).  A client that disconnects mid-request or mid-response is not an
 error at all: the handler drops the connection quietly instead of
 spewing a traceback per hung-up client under load.
 
+**Request framing.**  Request heads are read by
+:mod:`repro.serving.http11`, the framing module the client reads its
+replies with, not by ``http.server``'s ``parse_request``.  A request
+the server will not read on gets an error envelope and a closed
+connection:
+
+=====  ==================================================================
+414    a request line over 65,536 bytes
+431    a header line over 65,536 bytes, or more than 100 head lines
+       (the blank terminator included)
+400    a malformed request line, HTTP version or header line; a
+       ``Content-Length`` that is not digits only, or copies that disagree
+505    HTTP/2 or later
+501    a method the server has no handler for, or ``Transfer-Encoding``
+       (send a ``Content-Length``)
+413    a body over :data:`MAX_BODY_BYTES`
+=====  ==================================================================
+
+HTTP/1.1 connections stay open unless the request says
+``Connection: close``; HTTP/1.0 ones close unless it says
+``Connection: keep-alive``.  ``Expect: 100-continue`` gets an interim
+``100 Continue`` in one write before the body is read.  A connection
+idle or stalled for :attr:`_QueryHandler.timeout` seconds closes.
+
 **Scale-out is process-level.**  The store directory is opened with
 ``mmap=True`` by default, so every server process over one directory
 maps the *same* shard files read-only and shares the OS page cache.
@@ -90,7 +114,7 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.serving import wire
+from repro.serving import http11, wire
 from repro.serving.cache import ReleaseCache
 from repro.serving.execution import ExecutionPolicy, blas_threads, pin_blas_threads
 from repro.serving.queries import CrossQuery, PairwiseQuery, TopKQuery
@@ -201,10 +225,9 @@ class _QueryHandler(BaseHTTPRequestHandler):
     service: DistanceService  # injected via the per-server subclass
     cache: ReleaseCache | None = None  # injected likewise when enabled
     server_version = "repro-sketch-query/1"
-    # the stdlib's own error replies (a malformed request line, say) go
-    # out as two writes, header block then body; without this, Nagle
-    # holds the body back waiting for the client's delayed ACK of the
-    # headers — tens of ms added to a keep-alive reply
+    # a request sent with "Expect: 100-continue" gets two writes, the
+    # interim 100 and then the reply; without this, Nagle holds the
+    # reply back waiting for the client's delayed ACK of the 100
     disable_nagle_algorithm = True
     #: per-connection socket timeout — a client that stalls mid-body must
     #: not pin a handler thread (and its pending read buffer) forever
@@ -215,8 +238,48 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
     # -- plumbing ------------------------------------------------------------
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # queries are high-rate; logging is the load balancer's job
+    def handle_one_request(self) -> None:
+        """Read one request head with :mod:`~repro.serving.http11`, then dispatch it.
+
+        ``http.server``'s ``parse_request`` (and the ``email`` parser it
+        feeds every header block) stays off the request path; the
+        framing rules, statuses and bounds are those of the module
+        docstring.  Dispatch looks ``do_<METHOD>`` up on the instance, so
+        a wrapper set on the class attribute (a tracer's) still runs.
+        """
+        try:
+            try:
+                request = http11.read_request(self.rfile)
+            except http11.FramingError as exc:
+                self._refuse(exc.status, str(exc))
+                return
+            if request is None:  # the client closed an idle connection
+                self.close_connection = True
+                return
+            self.command, self.path, head = request
+            self.close_connection = head.close
+            self.body_length = head.length or 0
+            method = getattr(self, "do_" + self.command, None)
+            if method is None:
+                self._refuse(501, f"unsupported method {self.command!r}")
+            elif self.body_length > MAX_BODY_BYTES:
+                self._refuse(413, f"request body over {MAX_BODY_BYTES} bytes")
+            else:
+                if head.expect_continue:
+                    self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+                method()
+        except TimeoutError:
+            # a read or a write stalled past the socket timeout
+            self.close_connection = True
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request whose body stays unread, then close the connection.
+
+        The unread bytes would parse as the next request line, so the
+        keep-alive stream cannot carry another request.
+        """
+        self.close_connection = True
+        self._reply(status, wire.encode_error(ValueError(message)))
 
     def _reply(
         self,
@@ -247,39 +310,8 @@ class _QueryHandler(BaseHTTPRequestHandler):
             self.close_connection = True
 
     def _read_body(self) -> bytes | None:
-        if self.headers.get("Transfer-Encoding"):
-            # BaseHTTPRequestHandler cannot dechunk; without a close the
-            # undrained chunk lines would be parsed as the next request
-            self.close_connection = True
-            self._reply(
-                501,
-                wire.encode_error(
-                    ValueError("chunked request bodies are not supported; "
-                               "send a Content-Length")
-                ),
-            )
-            return None
         try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = -1
-        if length < 0:
-            # a negative length would turn rfile.read() into read-to-EOF,
-            # which never comes on a keep-alive connection
-            self.close_connection = True  # the body was never drained
-            self._reply(400, wire.encode_error(ValueError("bad Content-Length")))
-            return None
-        if length > MAX_BODY_BYTES:
-            # replying without draining the body would desynchronize the
-            # keep-alive stream (the next "request" would parse body bytes)
-            self.close_connection = True
-            self._reply(
-                413,
-                wire.encode_error(ValueError(f"request body over {MAX_BODY_BYTES} bytes")),
-            )
-            return None
-        try:
-            return self.rfile.read(length)
+            return self.rfile.read(self.body_length)
         except _CLIENT_DISCONNECT:
             self.close_connection = True  # hung up mid-body: nothing to answer
             return None
@@ -373,6 +405,8 @@ class _QueryHandler(BaseHTTPRequestHandler):
         )
 
     def do_GET(self) -> None:
+        if self.body_length:
+            self.close_connection = True  # its body stays unread, as in _refuse
         try:
             self._do_get()
         except _CLIENT_DISCONNECT:

@@ -808,8 +808,10 @@ class ShardedSketchStore:
 
         Tombstoned rows are physically dropped here, labels included
         (their budget stays spent — see the module docstring), and the
-        store's :attr:`generation` is bumped.  Rows stream through the
-        same pass as :func:`rewrite_store`, in bounded blocks — on an
+        store's :attr:`generation` is bumped once the new layout is in
+        place; a compaction that raises leaves the store as it found
+        it.  Rows stream through the same pass as
+        :func:`rewrite_store`, in bounded blocks — on an
         mmap-loaded store nothing larger than a block is ever read at
         once, so compacting a store bigger than RAM is fine.  For a
         disk-to-disk rewrite that never loads the store at all, use
@@ -830,23 +832,33 @@ class ShardedSketchStore:
         historical order-preserving rewrite (and drops any existing
         routing table — the layout changed).
         """
-        if storage is not None:
-            self.storage = StorageSpec.parse(storage)
         sources = [(self.snapshot(), self._labels)]
-        clusters = _cluster_count(routing, self.live_row_count, self.shard_capacity)
-        self._shards = []
-        self._labels = []
-        self._tombstones = np.empty(0, dtype=np.intp)
-        self._routing = None
-        self.generation += 1
-        n_clusters = _rewrite(sources, self._take, self._seal_tail, clusters, routing_seed)
-        if n_clusters is not None:
-            self._routing = build_shard_routing(
-                self.snapshot(),
-                generation=self.generation,
-                n_clusters=n_clusters,
+        centroids = _centroids(
+            sources,
+            _cluster_count(routing, self.live_row_count, self.shard_capacity),
+            routing_seed,
+        )
+        # all or nothing: the rows go into a fresh store, and this one
+        # changes only once the rewrite and its routing table are built
+        fresh = ShardedSketchStore(
+            self.shard_capacity, storage=self.storage if storage is None else storage
+        )
+        fresh._template = self._template
+        _rewrite(sources, fresh._take, fresh._seal_tail, centroids)
+        table = None
+        if centroids is not None:
+            table = build_shard_routing(
+                fresh.snapshot(),
+                generation=self.generation + 1,
+                n_clusters=centroids.shape[0],
                 seed=routing_seed,
             )
+        self.storage = fresh.storage
+        self._shards = fresh._shards
+        self._labels = fresh._labels
+        self._tombstones = np.empty(0, dtype=np.intp)
+        self._routing = table
+        self.generation += 1  # last: a new generation only ever shows the new rows
         return self
 
     def _take(self, codes: np.ndarray, view: ShardView, labels: list) -> None:
@@ -895,7 +907,7 @@ class ShardedSketchStore:
         merged = cls(shard_capacity=capacity, storage=spec)
         merged._template = template
         sources = [(store.snapshot(), store._labels) for store in stores]
-        _rewrite(sources, merged._take, merged._seal_tail, None, 0)
+        _rewrite(sources, merged._take, merged._seal_tail, None)
         return merged
 
     # -- persistence ---------------------------------------------------------
@@ -1102,19 +1114,32 @@ def _iter_live(sources, block_rows: int):
                     yield block, view, block_labels
 
 
-def _sample_live(sources, block_rows: int, target: int = DEFAULT_TRAIN_SAMPLE) -> np.ndarray:
-    """Every ``step``-th live row, about ``target`` of them: k-means input.
+def _centroids(sources, clusters: int | None, seed: int,
+               block_rows: int = DEFAULT_BLOCK_ROWS) -> np.ndarray | None:
+    """k-means centroids for a clustered rewrite (``None``: unclustered).
 
-    No randomness, so repeated rewrites of the same rows train alike.
+    Trains on every ``step``-th live row, about ``DEFAULT_TRAIN_SAMPLE``
+    of them; no randomness, so repeated rewrites of the same rows train
+    alike.  The same pass checks every live row: a NaN or infinite
+    coordinate has no distance to a centroid, so routing refuses the
+    store before any rewrite starts.
     """
+    if clusters is None:
+        return None
     total = sum(view.live_size for views, _ in sources for view in views)
-    step = max(1, total // max(target, 1))
-    sample, seen = [], 0
+    step = max(1, total // DEFAULT_TRAIN_SAMPLE)
+    sample, seen, bad = [], 0, 0
     for codes, view, _ in _iter_live(sources, block_rows):
         rows = view.decode(codes)
+        bad += rows.shape[0] - int(np.isfinite(rows).all(axis=1).sum())
         sample.append(rows[np.arange(seen, seen + rows.shape[0]) % step == 0])
         seen += rows.shape[0]
-    return np.concatenate(sample)
+    if bad:
+        raise ValueError(
+            f"cannot build routing: {bad} live row(s) hold NaN or infinite "
+            f"coordinates; delete() them and compact again"
+        )
+    return kmeans_centroids(np.concatenate(sample), clusters, seed=seed)
 
 
 def _cluster_count(routing, live_rows: int, capacity: int) -> int | None:
@@ -1131,25 +1156,23 @@ def _cluster_count(routing, live_rows: int, capacity: int) -> int | None:
     return clusters
 
 
-def _rewrite(sources, append, seal, clusters: int | None, seed: int,
-             block_rows: int = DEFAULT_BLOCK_ROWS) -> int | None:
+def _rewrite(sources, append, seal, centroids: np.ndarray | None,
+             block_rows: int = DEFAULT_BLOCK_ROWS) -> None:
     """Feed every live row of ``sources`` to ``append(codes, view, labels)``.
 
-    With ``clusters``, one pass per k-means cluster, ``seal()`` ending a
-    shard at each boundary; returns the clusters used (else ``None``).
+    With ``centroids``, one pass per cluster, ``seal()`` ending a shard
+    at each boundary.
     """
-    if clusters is None:
+    if centroids is None:
         for codes, view, labels in _iter_live(sources, block_rows):
             append(codes, view, labels)
-        return None
-    centroids = kmeans_centroids(_sample_live(sources, block_rows), clusters, seed=seed)
+        return
     for j in range(centroids.shape[0]):
         for codes, view, labels in _iter_live(sources, block_rows):
             member = np.flatnonzero(assign_rows(view.decode(codes), centroids) == j)
             if member.size:
                 append(codes[member], view, [labels[i] for i in member])
         seal()
-    return int(centroids.shape[0])
 
 
 def _merge_plan(stores, storage, shard_capacity):
@@ -1255,6 +1278,7 @@ def rewrite_store(
     clusters = _cluster_count(
         routing, sum(store.live_row_count for store in stores), capacity
     )
+    centroids = _centroids(sources, clusters, routing_seed, block_rows)
     scale = None
     if spec.quantised:
         peak = 0.0
@@ -1272,17 +1296,16 @@ def rewrite_store(
         start += len(store)
     roller = _ShardRoller(directory, template, spec, scale, capacity, keep_labels)
     try:
-        n_clusters = _rewrite(
-            sources, roller.append, roller.seal, clusters, routing_seed, block_rows
-        )
+        _rewrite(sources, roller.append, roller.seal, centroids, block_rows)
         roller.finish()
     except BaseException:
         roller.abort()
         raise
     table = None
-    if n_clusters is not None:
+    if centroids is not None:
         table = build_shard_routing(
-            roller.views(), generation=generation, n_clusters=n_clusters, seed=routing_seed
+            roller.views(), generation=generation, n_clusters=centroids.shape[0],
+            seed=routing_seed,
         )
     return _manifest_facts(
         template, spec, capacity, len(roller.paths), roller.n_rows,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from repro.core.estimators import clamp_sq_estimates
 from repro.serving import (
@@ -14,6 +15,13 @@ from repro.serving import (
 )
 from repro.serving.serialization import SHARD_PATTERN, read_manifest, shard_dir
 from repro.transforms import create_transform
+
+
+def any_case(text: str):
+    """A hypothesis strategy: ``text`` with each letter upper- or lower-cased."""
+    return st.lists(st.booleans(), min_size=len(text), max_size=len(text)).map(
+        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(text, upper))
+    )
 
 
 def shard_file(root, i=0):

@@ -33,6 +33,7 @@ from repro.serving import (
     TopKQuery,
 )
 from repro.serving import server as server_module
+from tests.helpers import any_case
 
 _CONFIG = SketchConfig(input_dim=32, epsilon=8.0, output_dim=16, sparsity=4, seed=9)
 
@@ -106,12 +107,6 @@ def stub():
     server.close()
 
 
-def _name_case(name: str):
-    return st.lists(st.booleans(), min_size=len(name), max_size=len(name)).map(
-        lambda upper: "".join(c.upper() if u else c.lower() for c, u in zip(name, upper))
-    )
-
-
 @st.composite
 def _replies(draw):
     """One reply: its body, its wire segments and its framing."""
@@ -127,7 +122,7 @@ def _replies(draw):
         headers.append(("Connection", "keep-alive"))
     head = "HTTP/1.1 200 OK\r\n"
     for name, value in draw(st.permutations(headers)):
-        head += f"{draw(_name_case(name))}: {value}\r\n"
+        head += f"{draw(any_case(name))}: {value}\r\n"
     raw = (head + "\r\n").encode("ascii") + body
     cuts = sorted(draw(st.lists(st.integers(0, len(raw)), max_size=6)))
     segments = [raw[a:b] for a, b in zip([0, *cuts], [*cuts, len(raw)])]

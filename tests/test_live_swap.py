@@ -148,6 +148,40 @@ class TestStoreTokenAndCache:
             states.append(_post(server, body)[0])
         assert states == ["miss", "hit", "miss", "hit"]
 
+    def test_a_failed_compact_shows_no_new_generation(self, monkeypatch):
+        # compact() fills a fresh store and swaps it in only on success:
+        # a query served mid-rewrite reads generation 0's rows (a hit),
+        # so nothing computed over half a rewrite is cached under the
+        # generation-1 token that a later compaction really reaches
+        sk = _sketcher()
+        store = ShardedSketchStore(shard_capacity=8)
+        store.add_batch(_batch(sk, 40, 1, labels=tuple(f"r{i}" for i in range(40))))
+        query = TopKQuery(queries=_batch(sk, 1, 2), k=3)
+        body = wire.encode_query(query)
+        fill, seen = ShardedSketchStore._fill, []
+
+        def failing_fill(target, rows):
+            if len(target) == 16:  # two of five shards rewritten
+                seen.append((_post(server, body), _healthz(server)["generation"]))
+                raise MemoryError("out of memory mid-rewrite")
+            return fill(target, rows)
+
+        with SketchQueryServer(DistanceService(store), port=0, cache=8) as server:
+            first = _post(server, body)
+            monkeypatch.setattr(ShardedSketchStore, "_fill", failing_fill)
+            with pytest.raises(MemoryError):
+                store.compact()
+            monkeypatch.undo()
+            after_fault = _post(server, body)
+            store.delete([f"r{i}" for i in range(24)])  # 16 live rows
+            store.compact()
+            state, blob = _post(server, body)
+        assert first[0] == "miss"
+        assert seen == [(("hit", first[1]), 0)] and after_fault == ("hit", first[1])
+        assert (store.generation, len(store)) == (1, 16) and state == "miss"
+        expected = DistanceService(store).execute(query).payload
+        assert wire.decode_result(blob).payload == expected
+
     @pytest.mark.parametrize(
         "compact_kwargs", [{}, {"routing": True}], ids=["passthrough", "routed"]
     )

@@ -649,6 +649,76 @@ class TestDiskCompaction:
         _assert_bit_identical(loaded, _query(sk, centers[0]))
 
 
+class TestCompactionIsAllOrNothing:
+    """A compaction that cannot finish leaves the store as it found it.
+
+    Routing over a row with a NaN or infinite coordinate is refused
+    before anything changes, in memory and on disk, with the count of
+    such rows; any other fault mid-rewrite puts the in-memory store back.
+    """
+
+    @staticmethod
+    def _odd_store(odd):
+        sk = _sketcher()
+        batch = sk.sketch_batch(np.random.default_rng(5).standard_normal((40, 48)), noise_rng=1)
+        values = batch.values.copy()
+        values[17, 3] = odd
+        store = ShardedSketchStore(shard_capacity=8)
+        store.add_batch(dataclasses.replace(
+            batch, values=values, labels=tuple(f"row-{i}" for i in range(40))
+        ))
+        store.delete(["row-2", "row-30"])
+        return sk, store
+
+    @staticmethod
+    def _state(store, sk):
+        query = TopKQuery(queries=_query(sk, np.ones(48)), k=5)
+        top = DistanceService(store, ExecutionPolicy(workers=1)).execute(query).payload
+        return (len(store), store.n_shards, store.labels, store.tombstones,
+                store.generation, store.storage.name, store.routing, top)
+
+    @pytest.mark.parametrize("odd", [np.nan, np.inf, -np.inf])
+    def test_in_memory_routing_refuses_non_finite_rows(self, odd):
+        sk, store = self._odd_store(odd)
+        before = self._state(store, sk)
+        with pytest.raises(ValueError, match=r"1 live row\(s\) hold NaN or infinite.*delete"):
+            store.compact(storage="f4", routing=True)
+        assert self._state(store, sk) == before
+        store.delete(["row-17"])
+        store.compact(routing=True)  # the advised fix
+        assert store.routing is not None and len(store) == 37
+
+    @pytest.mark.parametrize("odd", [np.nan, np.inf])
+    def test_on_disk_routing_refuses_non_finite_rows(self, tmp_path, odd):
+        sk, store = self._odd_store(odd)
+        store.save(tmp_path / "store")
+        files = sorted(p.relative_to(tmp_path) for p in (tmp_path / "store").rglob("*"))
+        manifest = read_manifest(tmp_path / "store")
+        before = self._state(ShardedSketchStore.load(tmp_path / "store"), sk)
+        with pytest.raises(ValueError, match=r"1 live row\(s\) hold NaN or infinite"):
+            compact_store(tmp_path / "store", routing=True)
+        assert sorted(p.relative_to(tmp_path) for p in (tmp_path / "store").rglob("*")) == files
+        assert read_manifest(tmp_path / "store") == manifest
+        assert self._state(ShardedSketchStore.load(tmp_path / "store"), sk) == before
+
+    def test_a_fault_mid_rewrite_restores_the_store(self, monkeypatch):
+        sk, store = self._odd_store(1.0)
+        before = self._state(store, sk)
+        fill, calls = ShardedSketchStore._fill, []
+
+        def failing_fill(self, values):
+            calls.append(len(values))
+            if len(calls) == 2:
+                raise MemoryError("out of memory mid-rewrite")
+            return fill(self, values)
+
+        monkeypatch.setattr(ShardedSketchStore, "_fill", failing_fill)
+        with pytest.raises(MemoryError):
+            store.compact(storage="f4", routing=2)
+        monkeypatch.undo()
+        assert self._state(store, sk) == before
+
+
 class TestStatsInvariants:
     def test_visited_plus_pruned_is_total_in_every_mode(self):
         sk = _sketcher()

@@ -27,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import estimators
 from repro.core.sketch import PrivateSketcher, SketchConfig
 from repro.serving import (
     CrossQuery,
@@ -295,7 +296,10 @@ class TestSelectionAndMasksProperty:
     whole shards to deletes.  For every ``k`` up to past the live rows,
     top-k must equal :func:`tests.helpers.full_scan` bit for bit, and so
     must radius at 0, at an estimate and at infinity; cross must be the
-    pre-delete matrix's live columns; no tombstoned label may surface.
+    pre-delete matrix's live columns, and pairwise over every live index
+    the pairwise kernel over the live rows (and the pre-delete matrix's
+    live block up to the kernel's rounding); no tombstoned label may
+    surface.
     """
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -328,6 +332,7 @@ class TestSelectionAndMasksProperty:
             queries, values=queries.values * rng.choice([0.25, 1.0, 4.0], size=(m, 1))
         )
         before = DistanceService(store).execute(CrossQuery(queries=queries)).payload
+        pairs = DistanceService(store).execute(PairwiseQuery(indices=tuple(range(n)))).payload
 
         doomed = set(np.flatnonzero(rng.random(n) < dead_share).tolist())
         for shard in data.draw(st.lists(st.integers(0, (n - 1) // capacity), max_size=2)):
@@ -336,6 +341,15 @@ class TestSelectionAndMasksProperty:
             store.delete([labels[i] for i in doomed])
         dead = {labels[i] for i in doomed}
         live = np.setdiff1d(np.arange(n), sorted(doomed))
+        # pairwise over the live rows, picked by position: bit-identical to
+        # the served answer; the pre-delete matrix's entries differ by the
+        # Gram kernel's batch-dependent rounding (ROADMAP item 1)
+        stored = np.concatenate([view.values for view in store.snapshot()])[live]
+        live_pairs = estimators.pairwise_sq_distances(
+            dataclasses.replace(store.metadata, values=stored.astype(np.float64), labels=())
+        )
+        finite = stored[np.isfinite(stored).all(axis=1)]
+        atol = scan_jitter_atol(store, finite, finite) if finite.size else 0.0
 
         # a finite radius is one of the estimates themselves: a tie at the edge
         edges = before[np.isfinite(before) & (before >= 0)].tolist() or [1.0]
@@ -356,3 +370,10 @@ class TestSelectionAndMasksProperty:
                     assert not dead & {label for label, _ in hits}
                 cross = service.execute(CrossQuery(queries=queries)).payload
                 assert cross.tobytes() == before[:, live].tobytes()
+                if live.size:
+                    every = PairwiseQuery(indices=tuple(range(live.size)))
+                    pairwise = service.execute(every).payload
+                    assert pairwise.tobytes() == live_pairs.tobytes()
+                    np.testing.assert_allclose(
+                        pairwise, pairs[np.ix_(live, live)], rtol=0, atol=atol
+                    )
