@@ -171,20 +171,6 @@ def _as_rows(sketch_or_batch) -> np.ndarray:
     return values[np.newaxis, :] if values.ndim == 1 else values
 
 
-def _pairwise_from_values(values: np.ndarray, correction: float) -> np.ndarray:
-    if _dsyrk is not None and values.shape[0] > 1:
-        upper = _dsyrk(1.0, np.ascontiguousarray(values), trans=0, lower=0)
-        gram = upper + upper.T  # syrk leaves the other triangle zero...
-        np.fill_diagonal(gram, np.diagonal(upper))  # ...but doubles the diagonal
-    else:
-        gram = values @ values.T
-        gram = 0.5 * (gram + gram.T)  # plain matmul is only symmetric up to fp
-    norms = np.diagonal(gram)
-    out = norms[:, np.newaxis] + norms[np.newaxis, :] - 2.0 * gram - correction
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def sq_norms(batch) -> np.ndarray:
     """Unbiased squared-norm estimates for every row of a batch."""
     values = _as_rows(batch)
@@ -202,7 +188,31 @@ def pairwise_sq_distances(batch) -> np.ndarray:
     tiny distances.
     """
     values = _as_rows(batch)
-    return _pairwise_from_values(values, sq_distance_correction(batch))
+    return pairwise_sq_distances_from_values(values, sq_distance_correction(batch))
+
+
+def pairwise_sq_distances_from_values(values: np.ndarray, correction: float) -> np.ndarray:
+    """The pairwise kernel over bare ``(n, k)`` float64 rows.
+
+    Exactly the arithmetic of :func:`pairwise_sq_distances`, with the
+    debias term ``correction`` supplied by the caller, so a serving
+    layer that gathers rows out of its shards pays for no
+    :class:`~repro.core.sketch.SketchBatch` around them.  The Gram
+    matrix is one BLAS ``dsyrk`` (half the flops of a GEMM), or a
+    symmetrised matmul without scipy.  No validation is performed;
+    callers are responsible for compatibility checks.
+    """
+    if _dsyrk is not None and values.shape[0] > 1:
+        upper = _dsyrk(1.0, np.ascontiguousarray(values), trans=0, lower=0)
+        gram = upper + upper.T  # syrk leaves the other triangle zero...
+        np.fill_diagonal(gram, np.diagonal(upper))  # ...but doubles the diagonal
+    else:
+        gram = values @ values.T
+        gram = 0.5 * (gram + gram.T)  # plain matmul is only symmetric up to fp
+    norms = np.diagonal(gram)
+    out = norms[:, np.newaxis] + norms[np.newaxis, :] - 2.0 * gram - correction
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def cross_sq_distances_from_parts(
@@ -279,4 +289,4 @@ def estimate_distance_matrix(sketches) -> np.ndarray:
     for other in sketches[1:]:
         check_compatible(first, other)
     values = np.stack([np.asarray(s.values, dtype=np.float64) for s in sketches])
-    return _pairwise_from_values(values, sq_distance_correction(first))
+    return pairwise_sq_distances_from_values(values, sq_distance_correction(first))

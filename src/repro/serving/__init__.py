@@ -22,8 +22,8 @@ Above it sits one protocol:
   through the vectorised estimators, serially or across a thread pool
   (:class:`ExecutionPolicy`);
 * :mod:`repro.serving.wire` — versioned JSON envelopes for queries,
-  results and errors (sketch payloads ride as the v3 binary container,
-  bit-exact; typed labels survive);
+  results and errors (sketch payloads ride as base64 float64 rows
+  under one digest, bit-exact; typed labels survive);
 * :class:`SketchQueryServer` / :class:`DistanceClient` — a stdlib-only
   HTTP frontend over a saved store (memory-mapped, so N worker
   processes share the same shard files) and the client that implements

@@ -45,7 +45,6 @@ payloads (cross, pairwise, norms) stay *unbiased* and may be negative.
 
 from __future__ import annotations
 
-import dataclasses
 import numbers
 from dataclasses import dataclass
 
@@ -210,7 +209,8 @@ class QueryStats:
         return self.shards_visited + self.shards_pruned
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # field by field: dataclasses.asdict deep-copies every value
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 @dataclass(frozen=True, eq=False)

@@ -205,8 +205,8 @@ _F8 = StorageSpec.parse("f8")
 
 
 def batch_to_bytes(batch: SketchBatch) -> bytes:
-    """A batch as an ``f8`` v3 container in memory (the wire's form): the
-    same bytes :class:`StreamingBatchWriter` commits for these rows."""
+    """A batch as an ``f8`` v3 container in memory: the same bytes
+    :class:`StreamingBatchWriter` commits for these rows."""
     values = np.ascontiguousarray(batch.values, dtype=_F8.dtype).tobytes()
     meta = _meta_dict(
         batch, batch.labels, len(batch), _sq_norm_range(np.asarray(batch.values)),

@@ -612,40 +612,47 @@ class DistanceService:
 
     def _execute_pairwise(self, query: PairwiseQuery) -> tuple[np.ndarray, QueryStats]:
         store = self.store  # bound once: a swap mid-query is invisible
-        if store.metadata is None:
+        meta = store.metadata
+        if meta is None:
             raise ValueError("the index is empty")
-        views = [v for v in store.snapshot() if v.live_size]
+        views, sizes = [], []
+        for view in store.snapshot():
+            size = view.live_size
+            if size:
+                views.append(view)
+                sizes.append(size)
         # indices address the *live* row sequence — the numbering a
         # compacted store would have, so answers survive maintenance
-        n = sum(view.live_size for view in views)
-        indices = np.asarray(query.indices, dtype=np.int64)
-        if indices.size and (indices.min() < -n or indices.max() >= n):
+        n = sum(sizes)
+        indices = query.indices
+        if indices and (min(indices) < -n or max(indices) >= n):
             raise IndexError(f"indices out of range for store of {n} rows")
-        if indices.size:
-            indices = indices % n
-        bounds = np.cumsum([0] + [view.live_size for view in views])
-        shard_ids = np.searchsorted(bounds, indices, side="right") - 1
-        local = indices - bounds[shard_ids]
-        gathered = np.empty((indices.size, store.metadata.output_dim))
-        touched = np.unique(shard_ids)
+        positions = np.asarray(indices, dtype=np.int64)
+        if indices:
+            positions %= n
+        bounds = np.cumsum([0, *sizes])
+        shard_ids = np.searchsorted(bounds, positions, side="right") - 1
+        local = positions - bounds[shard_ids]
+        gathered = np.empty((len(indices), meta.output_dim))
+        touched = set(shard_ids.tolist())
         for shard in touched:
-            view = views[int(shard)]
+            view = views[shard]
             mask = shard_ids == shard
             rows = local[mask]
             if view.dead is not None:
                 rows = np.delete(np.arange(view.size), view.dead)[rows]
             gathered[mask] = view.values[rows]
-        subset = dataclasses.replace(store.metadata, values=gathered, labels=())
         # shards the gather never touches count as pruned (skipped without
         # a read — on an mmap store their files stay cold), preserving the
         # visited + pruned == snapshot-shards invariant of QueryStats
         stats = QueryStats(
-            shards_visited=int(touched.size),
-            shards_pruned=len(views) - int(touched.size),
-            rows_scanned=int(np.unique(indices).size),
+            shards_visited=len(touched),
+            shards_pruned=len(views) - len(touched),
+            rows_scanned=len(set(positions.tolist())),
             rows_total=n,
         )
-        return estimators.pairwise_sq_distances(subset), stats
+        correction = estimators.sq_distance_correction(meta)
+        return estimators.pairwise_sq_distances_from_values(gathered, correction), stats
 
     def _execute_norms(self, query: NormsQuery) -> tuple[np.ndarray, QueryStats]:
         store = self.store  # bound once: a swap mid-query is invisible

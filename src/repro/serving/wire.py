@@ -5,16 +5,27 @@ The network frontend (:mod:`repro.serving.server` /
 for logging or replaying query workloads.  One envelope shape covers
 everything::
 
-    {"format": "repro.serving.wire", "version": 2,
+    {"format": "repro.serving.wire", "version": 3,
      "kind": "query" | "result" | "error", ...}
 
 * **Queries** carry their kind tag (``top_k`` / ``radius`` / ``cross``
-  / ``pairwise`` / ``norms``) plus kind-specific parameters.  Released
-  sketch payloads are embedded as the *version-3 binary container* of
-  :mod:`repro.serving.serialization` (base64 inside the JSON), so the
-  float64 values cross the wire bit-exactly and with their digests —
-  the JSON layer never touches a sketch value.  A container whose
-  header records a storage other than ``f8`` is rejected.
+  / ``pairwise`` / ``norms``) plus kind-specific parameters.  A
+  released sketch or batch rides as one ``release`` object::
+
+      {"as": "sketch" | "batch", "config": {...}, "labels": [...],
+       "shape": [k] | [n, k], "f8": "<base64>", "sha256": "<hex>"}
+
+  ``config`` holds the release's eight public fields (``input_dim``,
+  ``output_dim``, ``perturbation``, ``noise_spec``,
+  ``noise_second_moment``, ``epsilon``, ``delta``, ``config_digest``);
+  labels use :func:`~repro.serving.serialization.encode_label`'s typed
+  form; the values are base64 raw little-endian float64, the array
+  form results use too, so they cross bit-exactly and the JSON layer
+  never touches a sketch value.  ``sha256`` covers the values and every
+  other field of the release: it is taken over the sorted-key JSON of
+  ``[as, config, labels, shape]`` followed by the raw value bytes.
+  A release without ``f8`` values is refused: rounded f4/f2/int8 codes
+  or a storage container are not the released sketch.
 * **Results** carry the payload in a shape that round-trips exactly:
   labels use the typed JSON encoding of
   :func:`~repro.serving.serialization.encode_label` (integer labels
@@ -30,24 +41,30 @@ everything::
 
 Fields a query kind does not define are ignored, so a query envelope
 from an older peer that still sends a ``routing`` object decodes to the
-exact query.  Anything malformed — not JSON, wrong ``format`` tag, an unknown kind,
-a truncated embedded blob — raises :class:`WireError`.  A version
-other than :data:`WIRE_VERSION` is rejected up front: the envelope is
-versioned precisely so future revisions can evolve the schema without
-old peers misreading it (version 2 moved releases to container v3).
+exact query.  Anything malformed — not JSON, wrong ``format`` tag, an
+unknown kind, a truncated value blob, a release whose digest does not
+match — raises :class:`WireError`.  A version other than
+:data:`WIRE_VERSION` is rejected up front: the envelope is versioned
+precisely so future revisions can evolve the schema without old peers
+misreading it.  Version 2 embedded each release as a whole version-3
+storage container of :mod:`repro.serving.serialization` (a second
+header, two digests and a norm-range pass per query); version 3
+carries the bare rows and one digest, and the storage container stays
+on disk.
 """
 
 from __future__ import annotations
 
 import base64
 import binascii
-import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 
 from repro.core.sketch import PrivateSketch, SketchBatch
+from repro.dp.mechanisms import PrivacyGuarantee
 from repro.serving.queries import (
     QUERY_TYPES,
     CrossQuery,
@@ -58,16 +75,10 @@ from repro.serving.queries import (
     RadiusQuery,
     TopKQuery,
 )
-from repro.serving.serialization import (
-    SerializationError,
-    batch_raw_from_bytes,
-    batch_to_bytes,
-    decode_label,
-    encode_label,
-)
+from repro.serving.serialization import decode_label, encode_label
 
 WIRE_FORMAT = "repro.serving.wire"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
 
 
 class WireError(ValueError):
@@ -77,51 +88,111 @@ class WireError(ValueError):
 _QUERY_BY_KIND = {cls.kind: cls for cls in QUERY_TYPES}
 
 
-# -- releases (sketches / batches) ride as the v3 binary container -------------
+# -- releases (sketches / batches) ride as bare f8 rows --------------------------
+
+
+#: The release fields that ride in ``config`` as themselves; the
+#: guarantee rides beside them as its ``epsilon`` and ``delta``.
+_CONFIG_FIELDS = (
+    "input_dim",
+    "output_dim",
+    "perturbation",
+    "noise_spec",
+    "noise_second_moment",
+    "config_digest",
+)
+
+
+def _release_digest(head: list, values: np.ndarray) -> str:
+    """sha256 over ``[as, config, labels, shape]`` and then the ``<f8`` bytes."""
+    digest = hashlib.sha256(_dumps(head))
+    digest.update(np.ascontiguousarray(values, dtype="<f8"))
+    return digest.hexdigest()
 
 
 def _encode_release(release) -> dict:
     if isinstance(release, PrivateSketch):
-        batch = SketchBatch.from_sketches([release])
-        return {"as": "sketch", "v3": _b64(batch_to_bytes(batch))}
-    if isinstance(release, SketchBatch):
-        return {"as": "batch", "v3": _b64(batch_to_bytes(release))}
-    raise WireError(
-        f"query payload must be a PrivateSketch or SketchBatch, "
-        f"got {type(release).__name__}"
+        form, labels = "sketch", [encode_label(release.label)]
+    elif isinstance(release, SketchBatch):
+        form, labels = "batch", [encode_label(label) for label in release.labels]
+    else:
+        raise WireError(
+            f"query payload must be a PrivateSketch or SketchBatch, "
+            f"got {type(release).__name__}"
+        )
+    config = {field: getattr(release, field) for field in _CONFIG_FIELDS}
+    config["epsilon"] = release.guarantee.epsilon
+    config["delta"] = release.guarantee.delta
+    encoded = _encode_array(release.values)
+    encoded.update({"as": form, "config": config, "labels": labels})
+    encoded["sha256"] = _release_digest(
+        [form, config, labels, encoded["shape"]], release.values
     )
+    return encoded
 
 
 def _decode_release(encoded) -> object:
-    if not isinstance(encoded, dict) or "v3" not in encoded:
-        raise WireError("release payload must be an object with a 'v3' blob")
-    try:
-        info, raw = batch_raw_from_bytes(_unb64(encoded["v3"]))
-    except SerializationError as exc:
-        raise WireError(f"embedded sketch payload is invalid: {exc}") from exc
-    # the container header, not any envelope field, says what the values
-    # are: rounded f4/f2/int8 values are not the released sketch
-    if info.storage != "f8":
+    if not isinstance(encoded, dict):
+        raise WireError("release payload must be an object")
+    if "f8" not in encoded:
+        # the values' key says what they are: rounded f4/f2/int8 values,
+        # or a storage container, are not the released sketch
         raise WireError(
-            f"this build only decodes f8 sketch payloads, got storage {info.storage!r}"
+            "release values must ride as little-endian float64 under 'f8', "
+            f"got fields {sorted(encoded)}"
         )
-    batch = dataclasses.replace(
-        info.meta, values=raw.astype(np.float64), labels=info.labels
-    )
-    if encoded.get("as") == "sketch":
-        if len(batch) != 1:
-            raise WireError(
-                f"a 'sketch' release must embed exactly one row, got {len(batch)}"
-            )
-        return batch.row(0)
-    return batch
+    try:
+        form = encoded["as"]
+        config = encoded["config"]
+        labels = encoded["labels"]
+        shape = encoded["shape"]
+        digest = encoded["sha256"]
+        meta = {field: config[field] for field in _CONFIG_FIELDS}
+        meta["guarantee"] = PrivacyGuarantee(config["epsilon"], config["delta"])
+    except KeyError as exc:
+        raise WireError(f"release payload is missing required field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise WireError(f"malformed release config: {exc}") from exc
+    values = _decode_array(encoded)
+    ndim = 1 if form == "sketch" else 2 if form == "batch" else None
+    if values.ndim != ndim:
+        raise WireError(
+            "a release is a 'sketch' of shape [k] or a 'batch' of shape [n, k], "
+            f"got {form!r} of shape {list(values.shape)}"
+        )
+    if values.shape[-1] != meta["output_dim"]:
+        raise WireError(
+            f"release rows have {values.shape[-1]} values, "
+            f"but its config says output_dim={meta['output_dim']!r}"
+        )
+    if not isinstance(labels, list):
+        raise WireError("release labels must be a list")
+    n_rows = 1 if ndim == 1 else values.shape[0]
+    # a batch may be unlabelled; a sketch always carries its one label
+    if len(labels) != n_rows and (labels or form == "sketch"):
+        raise WireError(
+            f"a {form} release of {n_rows} rows carries {len(labels)} labels"
+        )
+    if digest != _release_digest([form, config, labels, shape], values):
+        raise WireError("release digest mismatch: the payload is corrupt")
+    try:
+        decoded = [decode_label(label) for label in labels]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed release labels: {exc}") from exc
+    if form == "sketch":
+        return PrivateSketch(values=values, label=decoded[0], **meta)
+    return SketchBatch(values=values, labels=tuple(decoded), **meta)
+
+
+#: allow_nan=False guarantees RFC 8259 output (json would otherwise emit
+#: bare NaN/Infinity tokens that non-Python parsers reject); non-finite
+#: scalars must go through _encode_float instead.  One encoder serves
+#: every call: json.dumps would build a new one each time.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _dumps(payload) -> bytes:
-    # allow_nan=False guarantees RFC 8259 output (json would otherwise
-    # emit bare NaN/Infinity tokens that non-Python parsers reject);
-    # non-finite scalars must go through _encode_float instead
-    return json.dumps(payload, sort_keys=True, allow_nan=False).encode("utf-8")
+    return _ENCODER.encode(payload).encode("utf-8")
 
 
 def _encode_float(value) -> object:
@@ -171,15 +242,17 @@ def _decode_array(encoded) -> np.ndarray:
         # negative pairs can fool the product check below and reach
         # reshape(), which would raise a raw numpy error instead of ours
         raise WireError(f"malformed array shape {shape!r}")
-    flat = np.frombuffer(_unb64(encoded["f8"]), dtype="<f8")
+    blob = _unb64(encoded["f8"])
     # math.prod is arbitrary-precision: an int64 product could be wrapped
-    # to a small value by absurd dimensions and sneak past this check
-    expected = math.prod(shape)
-    if flat.size != expected:
+    # to a small value by absurd dimensions and sneak past this check;
+    # comparing bytes also refuses a blob that is not whole values
+    expected = 8 * math.prod(shape)
+    if len(blob) != expected:
         raise WireError(
-            f"array payload has {flat.size} values for shape {shape}"
+            f"array payload has {len(blob)} bytes for shape {shape} "
+            f"(expected {expected})"
         )
-    return flat.astype(np.float64, copy=True).reshape(shape)
+    return np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shape)
 
 
 # -- queries -------------------------------------------------------------------
@@ -276,12 +349,28 @@ def _parse_query(envelope: dict):
 
 
 def _encode_ranking(ranking) -> list:
-    return [[encode_label(label), _encode_float(est)] for label, est in ranking]
+    # int and str labels and finite float estimates are their own JSON
+    # form; only the rest pays for the typed encoders
+    return [
+        [
+            label if type(label) is int or type(label) is str else encode_label(label),
+            est if type(est) is float and math.isfinite(est) else _encode_float(est),
+        ]
+        for label, est in ranking
+    ]
 
 
 def _decode_ranking(encoded) -> list:
+    # the common case, as on the encoder side: a label that is not an
+    # object and a JSON float decode as themselves
     try:
-        return [(decode_label(label), _decode_float(est)) for label, est in encoded]
+        return [
+            (
+                label if type(label) is not dict else decode_label(label),
+                est if type(est) is float else _decode_float(est),
+            )
+            for label, est in encoded
+        ]
     except (TypeError, ValueError) as exc:
         raise WireError(f"malformed ranking payload: {exc}") from exc
 
@@ -356,14 +445,22 @@ def _parse_result(envelope: dict) -> QueryResult:
 def _decode_stats(encoded) -> QueryStats:
     if not isinstance(encoded, dict):
         raise WireError("result stats must be an object")
-    known = {field: encoded[field] for field in encoded if field in _STATS_FIELDS}
-    try:
-        return QueryStats(**known)
-    except TypeError as exc:  # pragma: no cover - defensive
-        raise WireError(f"malformed stats payload: {exc}") from exc
+    known = {}
+    for field, value in encoded.items():
+        types = _STATS_TYPES.get(field)
+        if types is None:
+            continue  # a field this build does not know
+        if type(value) is bool or not isinstance(value, types):
+            raise WireError(f"malformed stats payload: {field}={value!r}")
+        known[field] = value
+    return QueryStats(**known)
 
 
-_STATS_FIELDS = frozenset(QueryStats.__dataclass_fields__)
+#: Counters are ints (not bools); the wall time is a number.
+_STATS_TYPES = {
+    field: (int, float) if field == "elapsed_seconds" else int
+    for field in QueryStats.__dataclass_fields__
+}
 
 
 # -- errors --------------------------------------------------------------------
@@ -409,9 +506,19 @@ def decode_error(blob: bytes) -> BaseException:
 # -- the envelope itself -------------------------------------------------------
 
 
+def _reject_constant(token: str):
+    # Python's json reads bare NaN/Infinity tokens, which RFC 8259 JSON
+    # (and this codec's writer) never holds
+    raise WireError(f"envelope is not valid JSON: bare {token} token")
+
+
+#: One decoder serves every call, as _ENCODER does for writing.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _load_envelope_json(blob: bytes):
     try:
-        return json.loads(blob.decode("utf-8"))
+        return _DECODER.decode(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WireError(f"envelope is not valid JSON: {exc}") from exc
 

@@ -348,14 +348,15 @@ class TestMergeStorage:
 
 class TestWireStorageTag:
     def test_release_payloads_carry_the_dtype(self):
-        # the embedded container's own header names the storage: f8
+        # a release's values ride under the key that names their dtype: f8
         import base64
 
-        from repro.serving.serialization import batch_raw_from_bytes
-
         sk = _sketcher()
-        query = TopKQuery(queries=sk.sketch(np.ones(128), noise_rng=0), k=1)
-        envelope = json.loads(wire.encode_query(query).decode())
-        info, _ = batch_raw_from_bytes(base64.b64decode(envelope["release"]["v3"]))
-        assert info.storage == "f8"
-        wire.decode_query(wire.encode_query(query))  # round-trips
+        sketch = sk.sketch(np.ones(128), noise_rng=0)
+        query = TopKQuery(queries=sketch, k=1)
+        release = json.loads(wire.encode_query(query).decode())["release"]
+        assert not {"f4", "f2", "int8", "v3"} & set(release)
+        raw = base64.b64decode(release["f8"])
+        assert raw == np.ascontiguousarray(sketch.values, dtype="<f8").tobytes()
+        back = wire.decode_query(wire.encode_query(query)).queries  # round-trips
+        assert back.values.tobytes() == sketch.values.tobytes()

@@ -299,7 +299,10 @@ class TestSelectionAndMasksProperty:
     pre-delete matrix's live columns, and pairwise over every live index
     the pairwise kernel over the live rows (and the pre-delete matrix's
     live block up to the kernel's rounding); no tombstoned label may
-    surface.
+    surface.  Pairwise over any index list (empty, repeated, negative,
+    every live row) is the pairwise kernel over the rows at those live
+    positions, with stats that count the shards and distinct rows it
+    read.
     """
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -377,3 +380,54 @@ class TestSelectionAndMasksProperty:
                     np.testing.assert_allclose(
                         pairwise, pairs[np.ix_(live, live)], rtol=0, atol=atol
                     )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pairwise_gathers_by_live_position(self, data):
+        n = data.draw(st.integers(1, 20), label="rows")
+        capacity = data.draw(st.integers(1, 8), label="shard_capacity")
+        storage = data.draw(st.sampled_from(["f8", "f4"]), label="storage")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        labels = tuple(f"row-{i}" for i in range(n))
+        store = ShardedSketchStore(shard_capacity=capacity, storage=storage)
+        store.add_batch(_batch(_sketcher(), n, seed, labels=labels))
+        doomed = data.draw(st.sets(st.integers(0, n - 1)), label="deleted rows")
+        if doomed:
+            store.delete([labels[i] for i in doomed])
+        live = np.setdiff1d(np.arange(n), sorted(doomed))
+        m = live.size
+        indices = data.draw(
+            st.one_of(
+                st.just(tuple(range(m))),  # every live row
+                st.lists(st.integers(-m, m - 1), max_size=8).map(tuple) if m else st.just(()),
+            ),
+            label="indices",
+        )
+        # the reference: the rows at those live positions, gathered from
+        # the physical layout, through the pairwise kernel
+        views = store.snapshot()
+        physical = live[[i % m for i in indices]] if indices else live[:0]
+        rows = np.concatenate([view.values for view in views])[physical]
+        expected = estimators.pairwise_sq_distances_from_values(
+            rows.astype(np.float64), estimators.sq_distance_correction(store.metadata)
+        )
+        owners = {
+            j for p in physical.tolist()
+            for j, view in enumerate(views) if view.start <= p < view.start + view.size
+        }
+        with DistanceService(store, ExecutionPolicy(workers=1)) as service:
+            result = service.execute(PairwiseQuery(indices=indices))
+            assert result.payload.tobytes() == expected.tobytes()
+            assert result.payload.shape == (len(indices), len(indices))
+            stats = result.stats
+            assert stats.shards_visited == len(owners)
+            assert stats.shards_visited + stats.shards_pruned == sum(
+                1 for view in views if view.live_size
+            )
+            assert stats.rows_scanned == len(set(physical.tolist()))
+            assert stats.rows_total == m
+            for outside in (m, -m - 1, 2**64, -(2**64)):  # past int64 too
+                with pytest.raises(IndexError, match="out of range"):
+                    service.execute(PairwiseQuery(indices=(*indices, outside)))
+        with pytest.raises(ValueError, match="empty"):
+            DistanceService(ShardedSketchStore()).execute(PairwiseQuery(indices=()))

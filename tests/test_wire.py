@@ -2,13 +2,15 @@
 
 The wire contract is *exactness*: a query that crosses the wire and
 comes back must be indistinguishable from the original — float64 values
-bit-for-bit (they ride in the v3 binary container), label types
-preserved (the ``encode_label``/``decode_label`` lesson from the store
-persistence work), parameters equal.  Hypothesis drives the shapes;
+bit-for-bit (they ride as raw little-endian float64 under one digest),
+label types preserved (the ``encode_label``/``decode_label`` lesson
+from the store persistence work), parameters equal.  Hypothesis drives the shapes;
 the rejection tests pin every malformed-envelope and version-mismatch
 path to :class:`~repro.serving.wire.WireError`.
 """
 
+import base64
+import copy
 import dataclasses
 import json
 
@@ -17,8 +19,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sketch import PrivateSketcher, SketchConfig
-from repro.serving import wire
+from repro.core.sketch import PrivateSketch, PrivateSketcher, SketchConfig
+from repro.serving import (
+    DistanceClient,
+    DistanceService,
+    ExecutionPolicy,
+    RouterService,
+    ShardedSketchStore,
+    SketchQueryServer,
+    serialization,
+    wire,
+)
 from repro.serving.queries import (
     CrossQuery,
     NormsQuery,
@@ -28,6 +39,7 @@ from repro.serving.queries import (
     RadiusQuery,
     TopKQuery,
 )
+from repro.serving.serialization import batch_to_bytes, encode_label
 from repro.serving.wire import WireError
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=2.0, output_dim=32, sparsity=4, seed=5)
@@ -240,8 +252,12 @@ def _reject_constant(name):  # json hook: NaN/Infinity tokens are a codec bug
     raise AssertionError(f"non-RFC-8259 constant {name!r} on the wire")
 
 
+def _envelope(query) -> dict:
+    return json.loads(wire.encode_query(query).decode("utf-8"))
+
+
 def _valid_query_envelope() -> dict:
-    return json.loads(wire.encode_query(NormsQuery()).decode("utf-8"))
+    return _envelope(NormsQuery())
 
 
 class TestRejection:
@@ -291,59 +307,78 @@ class TestRejection:
             wire.decode_query(json.dumps(envelope).encode())
 
     def test_bad_base64_release(self):
-        envelope = json.loads(
-            wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
-        )
-        envelope["release"]["v3"] = "!!! not base64 !!!"
+        envelope = _envelope(CrossQuery(queries=_TEMPLATE))
+        envelope["release"]["f8"] = "!!! not base64 !!!"
         with pytest.raises(WireError, match="base64"):
             wire.decode_query(json.dumps(envelope).encode())
 
     def test_corrupted_embedded_blob(self):
-        import base64
+        # one digest covers the values and every other release field
+        batch = _batch_of(np.random.default_rng(2).standard_normal((1, 32)), ("a",))
+        envelope = _envelope(CrossQuery(queries=batch))
 
-        envelope = json.loads(
-            wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
-        )
-        blob = bytearray(base64.b64decode(envelope["release"]["v3"]))
-        blob[len(blob) // 2] ^= 0xFF
-        envelope["release"]["v3"] = base64.b64encode(bytes(blob)).decode()
-        with pytest.raises(WireError, match="invalid"):
-            wire.decode_query(json.dumps(envelope).encode())
+        def flip_a_value_byte(release):
+            blob = bytearray(base64.b64decode(release["f8"]))
+            blob[len(blob) // 2] ^= 0xFF
+            release["f8"] = base64.b64encode(bytes(blob)).decode()
+
+        def as_a_sketch(release):  # same row and label, other form
+            release.update({"as": "sketch", "shape": release["shape"][1:]})
+
+        config = envelope["release"]["config"]
+        tamperings = [
+            flip_a_value_byte,
+            lambda r: r["config"].update(noise_second_moment=2 * config["noise_second_moment"]),
+            lambda r: r["config"].update(epsilon=config["epsilon"] / 2),
+            lambda r: r["config"].update(delta=0.5),
+            lambda r: r["config"]["noise_spec"].update(name="gaussian"),
+            lambda r: r["config"].update(perturbation="input"),
+            lambda r: r["config"].update(input_dim=config["input_dim"] + 1),
+            lambda r: r["config"].update(config_digest="0" * 16),
+            lambda r: r.update(labels=["b"]),
+            as_a_sketch,
+        ]
+        for tamper in tamperings:
+            tampered = copy.deepcopy(envelope)
+            tamper(tampered["release"])
+            assert tampered != envelope
+            with pytest.raises(WireError, match="digest mismatch"):
+                wire.decode_query(json.dumps(tampered).encode())
+        wire.decode_query(json.dumps(envelope).encode())  # the original decodes
 
     @pytest.mark.parametrize("storage", ["f4", "f2", "int8"])
     def test_quantised_release_container_rejected(self, tmp_path, storage):
         # a query sketch is a release: rounded values are not the
         # released ones, whatever the envelope around them claims
-        import base64
-
         from repro.serving.serialization import StreamingBatchWriter
         from repro.serving.storage import StorageSpec
 
         spec = StorageSpec.parse(storage)
         values = np.random.default_rng(1).standard_normal((1, 32))
         scale = spec.int8_step(float(np.abs(values).max())) if spec.quantised else None
+        codes = np.ascontiguousarray(spec.encode(values, scale))
         path = tmp_path / "release.skb"
         with StreamingBatchWriter(path, _TEMPLATE, storage=spec, scale=scale) as writer:
-            writer.append(spec.encode(values, scale))
+            writer.append(codes)
             writer.commit()
-        envelope = json.loads(
-            wire.encode_query(CrossQuery(queries=_batch_of(values))).decode("utf-8")
-        )
-        (key,) = [k for k in envelope["release"] if k not in ("as", "storage")]
-        envelope["release"][key] = base64.b64encode(path.read_bytes()).decode()
-        with pytest.raises(WireError, match="f8 sketch payloads"):
-            wire.decode_query(json.dumps(envelope).encode())
+        envelope = _envelope(CrossQuery(queries=_batch_of(values)))
+        del envelope["release"]["f8"]
+        for key, blob in ((storage, codes.tobytes()), ("v3", path.read_bytes())):
+            moved = copy.deepcopy(envelope)
+            moved["release"][key] = base64.b64encode(blob).decode()
+            with pytest.raises(WireError, match="'f8'"):
+                wire.decode_query(json.dumps(moved).encode())
 
     @pytest.mark.parametrize("version", [1, 2])
     def test_retired_container_versions_rejected(self, version):
-        import base64
-
-        blob = b"RSKB" + version.to_bytes(2, "big") + (2).to_bytes(4, "big") + b"{}"
-        envelope = json.loads(
-            wire.encode_query(CrossQuery(queries=_TEMPLATE)).decode("utf-8")
-        )
-        envelope["release"]["v3"] = base64.b64encode(blob).decode()
-        with pytest.raises(WireError, match=f"unsupported format version {version}"):
+        # versions up to 2 embedded each release as a storage container
+        envelope = _envelope(CrossQuery(queries=_TEMPLATE))
+        envelope["version"] = version
+        envelope["release"] = {
+            "as": "batch",
+            "v3": base64.b64encode(batch_to_bytes(_TEMPLATE)).decode(),
+        }
+        with pytest.raises(WireError, match=f"unsupported wire version {version}"):
             wire.decode_query(json.dumps(envelope).encode())
 
     def test_query_batch_must_be_array(self):
@@ -393,3 +428,319 @@ class TestErrorEnvelopes:
         back = wire.decode_error(wire.encode_error(RuntimeError("boom")))
         assert type(back) is ValueError
         assert str(back) == "boom"
+
+
+# -- version 3 releases --------------------------------------------------------
+
+_TEMPLATES = [
+    _TEMPLATE,
+    PrivateSketcher(
+        SketchConfig(input_dim=48, epsilon=1.5, delta=1e-5, output_dim=16,
+                     sparsity=4, noise="gaussian", seed=9)
+    ).sketch_batch(np.zeros((1, 48)), noise_rng=0)[0:0],
+]
+# labels of every type a release may carry, numpy scalars and
+# non-finite floats included (those two decode equal, not identical)
+_typed_labels = st.one_of(
+    _labels,
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@st.composite
+def releases(draw):
+    template = draw(st.sampled_from(_TEMPLATES))
+    k = template.output_dim
+    n = draw(st.integers(min_value=0, max_value=5))
+    as_sketch = draw(st.booleans())
+    if as_sketch:
+        n = 1
+    values = np.random.default_rng(draw(st.integers(0, 2**31))).standard_normal((n, k))
+    flat = values.ravel()
+    for value in draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=4)):
+        if flat.size:
+            flat[draw(st.integers(0, flat.size - 1))] = value
+    if as_sketch:
+        sketch = dataclasses.replace(template, values=values, labels=("x",)).row(0)
+        return dataclasses.replace(sketch, label=draw(_typed_labels))
+    labels = draw(st.one_of(st.just(()), st.lists(_typed_labels, min_size=n, max_size=n)))
+    return dataclasses.replace(template, values=values, labels=tuple(labels))
+
+
+def _release_labels(release) -> list:
+    labels = [release.label] if isinstance(release, PrivateSketch) else release.labels
+    return [encode_label(label) for label in labels]  # NaN-safe equality
+
+
+class TestReleaseVersion3:
+    @given(release=releases(), k=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_exact_and_deterministic(self, release, k):
+        query = TopKQuery(queries=release, k=k)
+        blob = wire.encode_query(query)
+        assert wire.encode_query(query) == blob  # the server's cache key
+        back = wire.decode_query(blob).queries
+        assert type(back) is type(release)
+        assert back.values.dtype == np.float64
+        assert back.values.shape == np.shape(release.values)
+        assert back.values.tobytes() == np.asarray(release.values, dtype=np.float64).tobytes()
+        for field in ("input_dim", "output_dim", "perturbation", "noise_spec",
+                      "noise_second_moment", "guarantee", "config_digest"):
+            assert getattr(back, field) == getattr(release, field)
+        assert _release_labels(back) == _release_labels(release)
+        release_json = json.loads(blob.decode("utf-8"))["release"]
+        assert set(release_json) == {"as", "config", "labels", "shape", "f8", "sha256"}
+        json.loads(blob.decode("utf-8"), parse_constant=_reject_constant)  # strict
+
+    def test_shape_must_match_output_dim(self):
+        envelope = _envelope(CrossQuery(queries=_batch_of(np.zeros((2, 32)))))
+        envelope["release"]["shape"] = [4, 16]  # the same 64 values
+        with pytest.raises(WireError, match="output_dim"):
+            wire.decode_query(json.dumps(envelope).encode())
+        sketch = _batch_of(np.zeros((1, 32)), ("r",)).row(0)
+        envelope = _envelope(CrossQuery(queries=sketch))
+        envelope["release"]["shape"] = [1, 32]  # a sketch is one row of shape [k]
+        with pytest.raises(WireError, match="shape"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+    def test_label_count_must_match_the_rows(self):
+        batch = _batch_of(np.zeros((3, 32)), ("a", "b", "c"))
+        envelope = _envelope(CrossQuery(queries=batch))
+        envelope["release"]["labels"] = ["a", "b"]
+        with pytest.raises(WireError, match="3 rows carries 2 labels"):
+            wire.decode_query(json.dumps(envelope).encode())
+        # an unlabelled batch is fine; a sketch always carries one label
+        envelope["release"]["labels"] = []
+        with pytest.raises(WireError, match="digest"):  # only the digest objects
+            wire.decode_query(json.dumps(envelope).encode())
+        envelope = _envelope(CrossQuery(queries=batch.row(0)))
+        for labels in ([], ["a", "b"]):
+            envelope["release"]["labels"] = labels
+            with pytest.raises(WireError, match="sketch release of 1 rows"):
+                wire.decode_query(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize("cut", [1, 7, 8])
+    def test_truncated_value_blob(self, cut):
+        envelope = _envelope(CrossQuery(queries=_batch_of(np.ones((2, 32)))))
+        blob = base64.b64decode(envelope["release"]["f8"])
+        envelope["release"]["f8"] = base64.b64encode(blob[:-cut]).decode()
+        with pytest.raises(WireError, match="bytes for shape"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize("form", ["matrix", ["batch"], None])
+    def test_unknown_release_form(self, form):
+        envelope = _envelope(CrossQuery(queries=_TEMPLATE))
+        envelope["release"]["as"] = form
+        with pytest.raises(WireError, match="'sketch' of shape"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+    def test_bare_non_finite_tokens_are_refused(self):
+        # the digest is recomputed over the parsed fields: a NaN there
+        # must fail as a WireError, not as the JSON writer's ValueError
+        blob = wire.encode_query(CrossQuery(queries=_TEMPLATE))
+        tampered = blob.replace(b'"delta": 0.0', b'"delta": NaN')
+        assert tampered != blob
+        with pytest.raises(WireError, match="bare NaN"):
+            wire.decode_query(tampered)
+        result = wire.encode_result(QueryResult(payload=[], stats=QueryStats()), "radius")
+        tampered = result.replace(b'"elapsed_seconds": 0.0', b'"elapsed_seconds": Infinity')
+        assert tampered != result
+        with pytest.raises(WireError, match="bare Infinity"):
+            wire.decode_result(tampered)
+
+    @pytest.mark.parametrize("field", ["as", "config", "labels", "shape", "sha256"])
+    def test_missing_release_field(self, field):
+        envelope = _envelope(CrossQuery(queries=_TEMPLATE))
+        del envelope["release"][field]
+        with pytest.raises(WireError, match="missing required field"):
+            wire.decode_query(json.dumps(envelope).encode())
+
+
+# -- malformed results ---------------------------------------------------------
+
+
+class TestMalformedResults:
+    def test_ragged_value_blob_is_a_wire_error(self):
+        # 7 value bytes are not whole float64 values: numpy's own
+        # ValueError must not escape as if the query had been refused
+        blob = wire.encode_result(
+            QueryResult(payload=np.zeros((1, 1)), stats=QueryStats()), "cross"
+        )
+        envelope = json.loads(blob.decode("utf-8"))
+        envelope["payload"]["f8"] = base64.b64encode(b"\0" * 7).decode()
+        with pytest.raises(WireError, match="7 bytes"):
+            wire.decode_result(json.dumps(envelope).encode())
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shards_visited", "x"),
+            ("shards_pruned", 1.5),
+            ("shards_routed", True),
+            ("rows_scanned", None),
+            ("rows_total", [1]),
+            ("elapsed_seconds", "0.1"),
+            ("elapsed_seconds", False),
+        ],
+    )
+    def test_stats_counters_must_be_numbers(self, field, value):
+        blob = wire.encode_result(QueryResult(payload=[], stats=QueryStats()), "radius")
+        envelope = json.loads(blob.decode("utf-8"))
+        envelope["stats"][field] = value
+        with pytest.raises(WireError, match=f"stats payload: {field}="):
+            wire.decode_result(json.dumps(envelope).encode())
+        envelope["stats"][field] = 3  # an int is a counter and a number of seconds
+        assert getattr(wire.decode_result(json.dumps(envelope).encode()).stats, field) == 3
+
+
+# -- result envelopes: byte-identical to the per-entry encoder ------------------
+
+
+def _reference_result_envelope(result, kind) -> bytes:
+    """A result envelope built the slow way: ``encode_label`` on every
+    label, the float codec on every estimate, ``dataclasses.asdict``."""
+
+    def ranking(entries):
+        return [[encode_label(label), encode_label(float(est))] for label, est in entries]
+
+    if kind == "top_k":
+        payload = [ranking(entries) for entries in result.payload]
+    elif kind == "radius":
+        payload = ranking(result.payload)
+    else:
+        values = np.ascontiguousarray(result.payload, dtype="<f8")
+        payload = {
+            "shape": list(values.shape),
+            "f8": base64.b64encode(values.tobytes()).decode("ascii"),
+        }
+    envelope = {
+        "format": wire.WIRE_FORMAT,
+        "version": wire.WIRE_VERSION,
+        "kind": "result",
+        "query": kind,
+        "payload": payload,
+        "stats": dataclasses.asdict(result.stats),
+    }
+    return json.dumps(envelope, sort_keys=True, allow_nan=False).encode("utf-8")
+
+
+_estimates = st.one_of(st.floats(), st.floats().map(np.float64), st.integers(-5, 5))
+_typed_rankings = st.lists(st.tuples(_typed_labels, _estimates), max_size=6)
+
+
+class TestResultEnvelopeBytes:
+    @given(rankings=st.lists(_typed_rankings, max_size=3), stats=_stats)
+    @settings(max_examples=60, deadline=None)
+    def test_rankings(self, rankings, stats):
+        top_k = QueryResult(payload=rankings, stats=stats)
+        assert wire.encode_result(top_k, "top_k") == _reference_result_envelope(top_k, "top_k")
+        hits = QueryResult(payload=rankings[0] if rankings else [], stats=stats)
+        assert wire.encode_result(hits, "radius") == _reference_result_envelope(hits, "radius")
+
+    def test_served_results(self):
+        sk = PrivateSketcher(_CONFIG)
+        rng = np.random.default_rng(4)
+        labels = [7, np.int64(8), "nine", (1, "x"), float("nan"), float("inf"), None, True]
+        labels = (labels * 3)[:20]
+        store = ShardedSketchStore(shard_capacity=6)
+        store.add_batch(sk.sketch_batch(rng.standard_normal((20, 64)), noise_rng=1), labels=labels)
+        queries = sk.sketch_batch(rng.standard_normal((3, 64)), noise_rng=2)
+        cases = [
+            TopKQuery(queries=queries, k=20),
+            TopKQuery(queries=queries.row(0), k=3),
+            RadiusQuery(query=queries.row(1), radius_sq=float("inf")),
+            RadiusQuery(query=queries.row(1), radius_sq=0.0),
+            CrossQuery(queries=queries),
+            PairwiseQuery(indices=(0, 4, -1, 4)),
+            PairwiseQuery(indices=()),
+            NormsQuery(),
+        ]
+        with DistanceService(store) as service:
+            for query in cases:
+                result = service.execute(query)
+                expected = _reference_result_envelope(result, query.kind)
+                assert wire.encode_result(result, query) == expected
+                assert wire.encode_results([result], [query]) == b"[" + expected + b"]"
+
+    @given(
+        rows=st.integers(0, 4),
+        cols=st.integers(0, 4),
+        kind=st.sampled_from(["cross", "pairwise", "norms"]),
+        special=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]), max_size=3),
+        stats=_stats,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matrices(self, rows, cols, kind, special, stats):
+        values = np.random.default_rng(rows * 5 + cols).standard_normal((rows, cols))
+        values.ravel()[: len(special)] = special[: values.size]
+        result = QueryResult(payload=values, stats=stats)
+        assert wire.encode_result(result, kind) == _reference_result_envelope(result, kind)
+
+
+# -- the storage container stays off the wire path -----------------------------
+
+
+def _payload_bits(payload):
+    """A payload compared bit for bit: arrays by their bytes, rankings by
+    the exact repr of every (label, estimate) pair."""
+    if isinstance(payload, np.ndarray):
+        return payload.dtype.str, payload.shape, payload.tobytes()
+    return repr(payload)
+
+
+class TestContainerOffTheWirePath:
+    def test_every_query_kind_matches_local_execute(self, monkeypatch):
+        sk = PrivateSketcher(_CONFIG)
+        rng = np.random.default_rng(3)
+        batch = sk.sketch_batch(rng.standard_normal((40, 64)), noise_rng=1)
+        whole = ShardedSketchStore(shard_capacity=8)
+        whole.add_batch(batch, labels=range(40))
+        parts = []
+        for lo, hi in ((0, 24), (24, 40)):  # split on a shard boundary
+            part = ShardedSketchStore(shard_capacity=8)
+            part.add_batch(batch[lo:hi], labels=range(lo, hi))
+            parts.append(part)
+        single = sk.sketch(rng.standard_normal(64), noise_rng=2)
+        several = sk.sketch_batch(rng.standard_normal((3, 64)), noise_rng=3)
+        queries = [
+            TopKQuery(queries=single, k=5),
+            TopKQuery(queries=several, k=7),
+            RadiusQuery(query=single, radius_sq=float("inf")),
+            CrossQuery(queries=several),
+            CrossQuery(queries=single),
+            PairwiseQuery(indices=(25, 31, -1, 25)),  # within the second part
+            NormsQuery(),
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a storage container on the wire path")
+
+        for name in ("batch_to_bytes", "batch_raw_from_bytes"):
+            monkeypatch.setattr(serialization, name, refuse)
+            monkeypatch.setattr(wire, name, refuse, raising=False)
+
+        policy = ExecutionPolicy(workers=1)
+        local = DistanceService(whole, policy)
+        expected = [_payload_bits(local.execute(q).payload) for q in queries]
+        servers = [
+            SketchQueryServer(DistanceService(store, policy), port=0).start()
+            for store in (whole, *parts)
+        ]
+        router = RouterService(
+            [DistanceClient(s.url) for s in servers[1:]], close_backends=True
+        )
+        front = SketchQueryServer(router, port=0).start()
+        try:
+            with DistanceClient(servers[0].url) as direct, DistanceClient(front.url) as routed:
+                for backend in (direct, router, routed):
+                    got = [_payload_bits(backend.execute(q).payload) for q in queries]
+                    assert got == expected
+                    many = backend.execute_many(queries)
+                    assert [_payload_bits(r.payload) for r in many] == expected
+        finally:
+            front.close()
+            router.close()
+            local.close()
+            for server in servers:
+                server.close()
