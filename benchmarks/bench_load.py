@@ -16,8 +16,7 @@ Three things are measured against one saved, memory-mapped store:
    ``execute()`` — a cache hit must be the byte-identical envelope.
 
 Timing gates are soft against machine noise (tune via the env var);
-correctness asserts are hard.  Results land in ``BENCH_load.json``
-via the ``bench_record`` fixture for the trajectory ledger.
+correctness asserts are hard.
 
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_load.py -v -s``
@@ -158,7 +157,7 @@ def _percentile(sorted_values, q):
     return sorted_values[min(len(sorted_values) - 1, int(q * len(sorted_values)))]
 
 
-def test_serving_tier_under_concurrent_load(tmp_path, bench_record):
+def test_serving_tier_under_concurrent_load(tmp_path):
     sketcher, queries = _build(tmp_path)
     local = DistanceService(
         ShardedSketchStore.load(tmp_path / "store", mmap=True),
@@ -251,18 +250,6 @@ def test_serving_tier_under_concurrent_load(tmp_path, bench_record):
         f"\n                             speedup {speedup:.2f}x (gate {_MIN_SPEEDUP:g}x)"
         f"\ntop-{_TOP} under load:          {topk_qps:8.1f} q/s"
         f"\n                             p50 {p50 * 1e3:7.2f} ms   p99 {p99 * 1e3:7.2f} ms"
-    )
-    bench_record(
-        "load",
-        workload=f"{_THREADS} concurrent clients over {_ROWS} rows "
-        f"(pooled vs one-shot transport; top-{_TOP} latency; router+cache)",
-        timings={"topk_p50_s": p50, "topk_p99_s": p99},
-        speedups={"pooled_vs_oneshot": speedup},
-        rates={
-            "pooled_q_per_s": pooled_qps,
-            "oneshot_q_per_s": oneshot_qps,
-            "topk_q_per_s": topk_qps,
-        },
     )
     assert speedup >= _MIN_SPEEDUP, (
         f"connection pooling only {speedup:.2f}x over one-shot connections "

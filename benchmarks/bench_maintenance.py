@@ -18,8 +18,6 @@ codes), so "streaming" is falsifiable:
   byte-identical and every answer across the swap must be
   **bit-identical**, with **zero failed requests** (hard gate).
 
-Emits ``BENCH_maintenance_*.json`` records for the CI trajectory table.
-
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_maintenance.py -v -s``
 """
@@ -115,7 +113,7 @@ def store_dir(tmp_path_factory):
     return root, queries
 
 
-def test_compact_rss_stays_o_block(store_dir, bench_record, tmp_path):
+def test_compact_rss_stays_o_block(store_dir, tmp_path):
     root, _ = store_dir
     work = tmp_path / "compact"
     shutil.copytree(root, work)
@@ -130,20 +128,13 @@ def test_compact_rss_stays_o_block(store_dir, bench_record, tmp_path):
         f"({rate:,.0f} rows/s), RSS growth {delta / 1e6:.1f} MB "
         f"(store {_STORE_BYTES / 1e6:.0f} MB, gate {_RSS_GATE / 1e6:.0f} MB)"
     )
-    bench_record(
-        "maintenance_compact",
-        workload=f"compact_store f8->f4, {_ROWS} rows x k={_K}",
-        timings={"compact_s": result["seconds"]},
-        rates={"compact_rows_per_s": rate},
-        sizes={"store_bytes": _STORE_BYTES, "peak_rss_delta_bytes": delta},
-    )
     assert result["rows"] == _ROWS
     assert delta < _RSS_GATE, (
         f"compaction RSS grew {delta / 1e6:.0f} MB — not O(block) streaming"
     )
 
 
-def test_merge_rss_stays_o_block(store_dir, bench_record, tmp_path):
+def test_merge_rss_stays_o_block(store_dir, tmp_path):
     root, _ = store_dir
     dest = tmp_path / "merged"
     try:
@@ -157,22 +148,13 @@ def test_merge_rss_stays_o_block(store_dir, bench_record, tmp_path):
         f"({rate:,.0f} rows/s), RSS growth {delta / 1e6:.1f} MB "
         f"(sources {2 * _STORE_BYTES / 1e6:.0f} MB, gate {_RSS_GATE / 1e6:.0f} MB)"
     )
-    bench_record(
-        "maintenance_merge",
-        workload=f"merge_stores 2x{_ROWS} rows x k={_K}",
-        timings={"merge_s": result["seconds"]},
-        rates={"merge_rows_per_s": rate},
-        sizes={"source_bytes": 2 * _STORE_BYTES, "peak_rss_delta_bytes": delta},
-    )
     assert result["rows"] == 2 * _ROWS
     assert delta < _RSS_GATE, (
         f"merge RSS grew {delta / 1e6:.0f} MB — not O(block) streaming"
     )
 
 
-def test_live_swap_serves_bit_identical_with_zero_failures(
-    store_dir, bench_record
-):
+def test_live_swap_serves_bit_identical_with_zero_failures(store_dir):
     root, queries = store_dir
     single = queries[0]
     with DistanceService(
@@ -249,12 +231,6 @@ def test_live_swap_serves_bit_identical_with_zero_failures(
         f"\nlive swap: {total} requests across a generation swap "
         f"({swap_seconds:.2f}s rewrite-to-swap), 0 failures, "
         f"bit-identical answers ({seconds:.1f}s soak)"
-    )
-    bench_record(
-        "maintenance_live_swap",
-        workload=f"server hammer across compact_store swap, {_ROWS} rows",
-        timings={"rewrite_to_swap_s": swap_seconds},
-        rates={"soak_q_per_s": total / seconds},
     )
     assert failures == [], failures
     assert swaps >= 1 and watch_error is None

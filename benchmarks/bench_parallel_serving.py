@@ -88,7 +88,7 @@ def _rank(row, k):
     return [(int(i), estimators.clamp_sq_estimates(row[i])) for i in order]
 
 
-def test_threaded_serving_matches_serial_at_105k(tmp_path, bench_record):
+def test_threaded_serving_matches_serial_at_105k(tmp_path):
     _, store, queries = _build()
     serial = DistanceService(store, ExecutionPolicy(workers=1))
     serial_seconds, (serial_top, serial_cross) = _time_workload(serial, queries)
@@ -122,18 +122,6 @@ def test_threaded_serving_matches_serial_at_105k(tmp_path, bench_record):
         f"\nthreaded (4 workers):         {threaded_seconds * 1e3:8.1f} ms/workload"
         f"\nmmap     (4 workers, lazy):   {mapped_seconds * 1e3:8.1f} ms/workload"
         f"\nthreaded speedup: {speedup:.2f}x (gate {_MIN_SPEEDUP:g}x)"
-    )
-    bench_record(
-        "parallel_serving",
-        workload=f"top-{_TOP}+cross over {len(store)} rows, {store.n_shards} shards",
-        timings={
-            "serial_s": serial_seconds,
-            "threaded_s": threaded_seconds,
-            "mmap_s": mapped_seconds,
-        },
-        speedups={"threaded_vs_serial": speedup},
-        rates={"rows_per_s_threaded": len(store) * _QUERIES / threaded_seconds},
-        sizes={"store_nbytes": store.nbytes},
     )
     assert speedup >= _MIN_SPEEDUP, (
         f"threaded serving only {speedup:.2f}x over serial "

@@ -16,8 +16,6 @@ side by side.  Measures what the storage dial actually buys:
   traffic) should beat the f8 scan per row
   (``QUANTISED_STORE_MIN_SPEEDUP``, soft — shared runners are noisy).
 
-Emits ``BENCH_quantised_store.json`` for the CI trajectory table.
-
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_quantised_store.py -v -s``
 """
@@ -82,7 +80,7 @@ def _recall(reference, candidate) -> float:
     return float(np.mean(per_query))
 
 
-def test_f4_store_halves_bytes_and_keeps_recall(tmp_path, bench_record):
+def test_f4_store_halves_bytes_and_keeps_recall(tmp_path):
     store, queries = _build()
     store.save(tmp_path / "f8")
 
@@ -105,7 +103,6 @@ def test_f4_store_halves_bytes_and_keeps_recall(tmp_path, bench_record):
     recall_f4 = _recall(results["f8"], results["f4"])
     recall_int8 = _recall(results["f8"], results["int8"])
     speedup = seconds["f8"] / seconds["f4"]
-    scans_per_s = _ROWS * _QUERIES / seconds["f4"]
 
     print(f"\nstore: {_ROWS} rows, k={_K}, {stores['f8'].n_shards} shards")
     for name in ("f8", "f4", "int8"):
@@ -120,18 +117,6 @@ def test_f4_store_halves_bytes_and_keeps_recall(tmp_path, bench_record):
         f"(gate {_MIN_SPEEDUP:g}x soft)"
         f"\nint8 vs f8: {value_bytes['f8'] / value_bytes['int8']:.2f}x smaller, "
         f"recall@{_TOP} {recall_int8:.3f}"
-    )
-    bench_record(
-        "quantised_store",
-        workload=f"top-{_TOP} x {_QUERIES} queries over {_ROWS} rows, k={_K}",
-        timings={f"{n}_s": seconds[n] for n in seconds},
-        speedups={"f4_vs_f8_scan": speedup},
-        rates={"f4_row_scans_per_s": scans_per_s},
-        sizes={
-            **{f"{n}_value_bytes": value_bytes[n] for n in value_bytes},
-            **{f"{n}_disk_bytes": dir_bytes[n] for n in dir_bytes},
-        },
-        recall={"f4_at_10": recall_f4, "int8_at_10": recall_int8},
     )
 
     # -- hard gates: size is arithmetic, recall is the accuracy contract --

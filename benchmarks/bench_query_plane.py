@@ -16,7 +16,10 @@ round trip must beat issuing the same queries one-by-one remotely
 (``QUERY_PLANE_MANY_MIN_SPEEDUP``, default 1.05x — the entire point
 of ``/query-many`` is amortising the hop, though the keep-alive
 connection pool shrank batching's edge by removing the per-request
-TCP setup that one-by-one used to pay).
+TCP setup that one-by-one used to pay).  Each arm's time is its best of
+nine windows of about 70 ms, the one-by-one and ``/query-many`` windows
+taken in turn, so neither a slow stretch of the host nor the warm-up
+after the server starts lands on one arm only.
 
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_query_plane.py -v -s``
@@ -46,7 +49,7 @@ _SHARD = 8_192
 _TOP = 10
 _SINGLE_QUERIES = 24      # one-at-a-time round trips
 _MANY_BATCH = 24          # queries per /query-many round trip
-_REPEATS = 3
+_WINDOWS = 9              # timed windows per arm, the arms taken in turn
 
 # the pooled keep-alive client narrowed this: one-by-one no longer pays
 # a TCP setup per request, so batching's edge is the round trips alone
@@ -70,16 +73,19 @@ def _build(tmp_path):
     return sketcher, queries
 
 
-def _best_of(fn):
-    best, result = float("inf"), None
-    for _ in range(_REPEATS):
-        t0 = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, result
+def _best_of(*arms):
+    """Each arm's best time over ``_WINDOWS`` windows and its last
+    result; the arms run in turn, window by window."""
+    best, results = [float("inf")] * len(arms), [None] * len(arms)
+    for _ in range(_WINDOWS):
+        for i, arm in enumerate(arms):
+            t0 = time.perf_counter()
+            results[i] = arm()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best, results
 
 
-def test_http_round_trip_matches_local_at_105k(tmp_path, bench_record):
+def test_http_round_trip_matches_local_at_105k(tmp_path):
     _, queries = _build(tmp_path)
     typed = [TopKQuery(queries=q, k=_TOP) for q in queries]
 
@@ -87,7 +93,7 @@ def test_http_round_trip_matches_local_at_105k(tmp_path, bench_record):
         ShardedSketchStore.load(tmp_path / "store", mmap=True),
         ExecutionPolicy(workers=1),
     )
-    local_seconds, local_results = _best_of(
+    (local_seconds,), (local_results,) = _best_of(
         lambda: [local.execute(q).payload[0] for q in typed]
     )
 
@@ -96,11 +102,9 @@ def test_http_round_trip_matches_local_at_105k(tmp_path, bench_record):
     ).start() as server:
         client = DistanceClient(server.url)
 
-        single_seconds, single_results = _best_of(
-            lambda: [client.execute(q).payload[0] for q in typed]
-        )
-        many_seconds, many_results = _best_of(
-            lambda: [r.payload[0] for r in client.execute_many(typed[:_MANY_BATCH])]
+        (single_seconds, many_seconds), (single_results, many_results) = _best_of(
+            lambda: [client.execute(q).payload[0] for q in typed],
+            lambda: [r.payload[0] for r in client.execute_many(typed[:_MANY_BATCH])],
         )
 
         # correctness is hard: the HTTP hop must not change a single bit
@@ -125,21 +129,6 @@ def test_http_round_trip_matches_local_at_105k(tmp_path, bench_record):
         f"\nHTTP execute_many ({_MANY_BATCH:2d}/rt):  {many_qps:8.1f} q/s"
         f"\nbatched-vs-single speedup: {many_qps / single_qps:.2f}x "
         f"(gate {_MANY_MIN_SPEEDUP:g}x)"
-    )
-    bench_record(
-        "query_plane",
-        workload=f"top-{_TOP} at {_ROWS} rows: local vs HTTP vs /query-many",
-        timings={
-            "local_s": local_seconds,
-            "http_single_s": single_seconds,
-            "http_many_s": many_seconds,
-        },
-        speedups={"many_vs_single": many_qps / single_qps},
-        rates={
-            "local_q_per_s": local_qps,
-            "http_single_q_per_s": single_qps,
-            "http_many_q_per_s": many_qps,
-        },
     )
     assert many_qps / single_qps >= _MANY_MIN_SPEEDUP, (
         f"/query-many only {many_qps / single_qps:.2f}x over one-by-one "

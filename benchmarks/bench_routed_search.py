@@ -19,8 +19,6 @@ legitimately keeps everything):
 Queries execute one at a time, the shape a serving tier actually sees:
 a batch can only skip a shard that every one of its rows can skip.
 
-Emits ``BENCH_routed_search.json`` for the CI trajectory table.
-
 Run directly:
 ``PYTHONPATH=src python -m pytest benchmarks/bench_routed_search.py -v -s``
 """
@@ -95,7 +93,7 @@ def _run_queries(service, queries):
     return total_s, scanned / total_rows, payloads
 
 
-def test_routed_search_is_exact_and_scans_one_cluster(tmp_path, bench_record):
+def test_routed_search_is_exact_and_scans_one_cluster(tmp_path):
     store, queries = _build()
     # one cluster per mixture component: each ball is tight around its
     # component, the geometry the centroid-ball bound exploits
@@ -135,23 +133,6 @@ def test_routed_search_is_exact_and_scans_one_cluster(tmp_path, bench_record):
     print(
         f"exact-routed bit-identical: {identical}; "
         f"rows scanned {routed_frac:.1%} (gate {_MAX_ROUTED_FRAC:.0%})"
-    )
-    bench_record(
-        "routed_search",
-        workload=(
-            f"top-{_TOP} x {_QUERIES} single queries over {_ROWS} clustered "
-            f"rows ({_CENTERS} components), k={_K}"
-        ),
-        timings={
-            "unrouted_s": unrouted_s,
-            "exact_routed_s": routed_s,
-        },
-        speedups={
-            "exact_routed_vs_unrouted": unrouted_s / routed_s,
-        },
-        rates={
-            "scan_fraction_exact_pct": routed_frac * 100.0,
-        },
     )
 
     # -- hard gates -------------------------------------------------------

@@ -93,7 +93,7 @@ def _workload(sketcher):
     return seed_values, adds, queries
 
 
-def test_serving_beats_legacy_rebuild_at_100k(bench_record):
+def test_serving_beats_legacy_rebuild_at_100k():
     sketcher = PrivateSketcher(
         SketchConfig(input_dim=_D, epsilon=4.0, output_dim=_K, sparsity=_S)
     )
@@ -156,14 +156,6 @@ def test_serving_beats_legacy_rebuild_at_100k(bench_record):
         f"\nserving (shards + cached norms): {serving_seconds:8.3f}s "
         f"({per_query_serving * 1e3:7.2f} ms/query)"
         f"\nspeedup: {speedup:.1f}x"
-    )
-    bench_record(
-        "serving",
-        workload=f"interleaved add+query at {n_final} rows, k={_K}",
-        timings={"legacy_s": legacy_seconds, "serving_s": serving_seconds},
-        speedups={"serving_vs_legacy": speedup},
-        rates={"queries_per_s": len(serving_results) / serving_seconds},
-        sizes={"store_nbytes": store.nbytes},
     )
     assert speedup >= _MIN_SPEEDUP, (
         f"serving path only {speedup:.1f}x faster than the legacy rebuild "

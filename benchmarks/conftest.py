@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark file regenerates one paper table/claim (see the
-experiment index in ``repro.experiments.registry``) through the
+Every paper-experiment benchmark regenerates one paper table/claim (see
+the experiment index in ``repro.experiments.registry``) through the
 ``regenerate`` fixture, which times a single full run of the
 experiment, prints the resulting table, and asserts that every shape
 check reproduced the paper's claim.
@@ -9,48 +9,21 @@ check reproduced the paper's claim.
 Benchmarks run experiments at ``smoke`` scale so the suite stays fast;
 ``python -m repro.experiments all`` produces the ``full``-scale numbers.
 
-The ``bench_record`` fixture is the perf ledger: every system benchmark
-writes one machine-readable ``BENCH_<name>.json`` (timings, speedups,
-rows/s, store bytes — whatever it measured) next to the working
-directory (or under ``$BENCH_JSON_DIR``).  CI uploads the files as
-artifacts and ``benchmarks/trajectory.py`` prints them as one table, so
-the perf trajectory is tracked per commit instead of lost in job logs.
+The system benchmarks (``bench_batch_sketch``, ``bench_serving``,
+``bench_query_plane``, ``bench_parallel_serving``,
+``bench_quantised_store``, ``bench_load``, ``bench_maintenance`` and
+``bench_routed_search``) are gates: each asserts its correctness and
+threshold checks and prints a summary, and CI runs each file in its
+own process.  Performance over time is measured by the repository
+benchmark (``perfbench/``) and recorded in ``bench-history/`` with
+``tools/ledger.py``.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
-
 import pytest
 
 from repro.experiments.registry import run_experiment
-
-
-@pytest.fixture
-def bench_record():
-    """Write one ``BENCH_<name>.json`` perf record; returns its path.
-
-    ``fields`` is a flat-ish JSON-serialisable mapping — by convention
-    ``timings`` (seconds), ``speedups`` (ratios), ``rates`` (rows/s or
-    q/s) and ``sizes`` (bytes) sub-dicts, plus anything else worth
-    tracking.  The commit comes from ``$GITHUB_SHA`` when CI sets it.
-    """
-
-    def write(name: str, **fields) -> Path:
-        record = {
-            "benchmark": name,
-            "commit": os.environ.get("GITHUB_SHA"),
-            **fields,
-        }
-        out_dir = Path(os.environ.get("BENCH_JSON_DIR", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"BENCH_{name}.json"
-        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-        return path
-
-    return write
 
 
 @pytest.fixture

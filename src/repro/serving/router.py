@@ -60,7 +60,9 @@ runs concurrently.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -246,30 +248,24 @@ class RouterService:
 
     def _execute_pairwise(self, query: PairwiseQuery) -> QueryResult:
         sizes = [_live_rows(backend) for backend in self.backends]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        total = int(offsets[-1])
-        indices = np.asarray(query.indices, dtype=np.int64)
-        if indices.size and (indices.min() < -total or indices.max() >= total):
+        offsets = list(itertools.accumulate(sizes, initial=0))
+        total = offsets[-1]
+        # range-check the Python ints first: an index past int64 is a bad
+        # query, not an OverflowError
+        indices = query.indices
+        if indices and (min(indices) < -total or max(indices) >= total):
             raise IndexError(f"indices out of range for store of {total} rows")
-        if indices.size:
-            indices = indices % total
-        owners = (
-            np.searchsorted(offsets, indices, side="right") - 1
-            if indices.size
-            else np.empty(0, dtype=np.int64)
-        )
-        unique_owners = np.unique(owners)
-        if unique_owners.size > 1:
+        positions = [i % total for i in indices]
+        owners = {bisect.bisect_right(offsets, p) - 1 for p in positions}
+        if len(owners) > 1:
             raise ValueError(
                 "a pairwise query spanning multiple router backends is not "
                 "supported (cross-backend pairs need the stored sketch values, "
                 "which backends do not expose) — keep the indices within one "
                 "backend or use CrossQuery with released query sketches"
             )
-        owner = int(unique_owners[0]) if unique_owners.size else 0
-        local = PairwiseQuery(
-            indices=tuple(int(i - offsets[owner]) for i in indices)
-        )
+        owner = owners.pop() if owners else 0
+        local = PairwiseQuery(indices=tuple(p - offsets[owner] for p in positions))
         result = self.backends[owner].execute(local)
         # untouched backends' live rows count toward the logical total,
         # like the local engine's untouched shards

@@ -28,6 +28,7 @@ from repro.serving import (
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=13)
 _SPLITS = (0, 20, 41, 57)  # deliberately uneven backend blocks
+_PAST_INT64 = (2**63, 2**64, -(2**64))  # valid query fields, no int64 fits them
 
 
 def _build():
@@ -143,6 +144,12 @@ class TestRouterOverLocalServices:
         with pytest.raises(IndexError, match="out of range"):
             router.execute(PairwiseQuery(indices=(0, 57)))
 
+    @pytest.mark.parametrize("index", _PAST_INT64)
+    def test_pairwise_index_past_int64_raises_index_error(self, setup, index):
+        _, _, router = setup
+        with pytest.raises(IndexError, match="out of range"):
+            router.execute(PairwiseQuery(indices=(index,)))
+
     def test_untyped_query_raises_type_error(self, setup):
         sk, _, router = setup
         with pytest.raises(TypeError, match="typed query"):
@@ -204,6 +211,15 @@ class TestRouterOverHttpBackends:
             client.execute(PairwiseQuery(indices=(0, 10_000)))
         with pytest.raises(ValueError, match="spanning multiple router backends"):
             client.execute(PairwiseQuery(indices=(0, 56)))
+
+    @pytest.mark.parametrize("index", _PAST_INT64)
+    def test_pairwise_index_past_int64_is_a_400_through_the_router_server(
+        self, topology, index
+    ):
+        # a 500 would surface as ConnectionError; a store server answers 400
+        _, _, _, _, client, _ = topology
+        with pytest.raises(IndexError, match="out of range"):
+            client.execute(PairwiseQuery(indices=(index,)))
 
     def test_dead_backend_surfaces_as_502_connection_error(self, topology):
         _, _, _, _, client, servers = topology
