@@ -74,7 +74,7 @@ def test_batch_matches_loop_and_is_10x_faster():
     (batch, batch_matrix), batch_seconds = _best_of(_batch_pipeline, sk, X)
 
     # correctness first: same noise stream -> per-row sketches agree, and
-    # the Gram-based pairwise matrix agrees with the per-pair loop
+    # the batched pairwise matrix agrees with the per-pair loop
     row_error = max(
         float(np.max(np.abs(batch.values[i] - sketches[i].values))) for i in range(_N)
     )

@@ -168,8 +168,8 @@ def main() -> None:
         # precision, then compact(storage=...) re-encodes the shards as
         # f4 (half size), f2 (quarter) or scalar-quantised int8 with a
         # per-shard scale (eighth).  Queries run unchanged through the
-        # same ShardView interface — f4 shards are scanned by a native
-        # float32 GEMM — within the documented error envelope of
+        # same ShardView interface — f4 shards are scanned by native
+        # float32 GEMVs — within the documented error envelope of
         # repro.theory.quantisation.  At 105k rows x k=64
         # (benchmarks/bench_quantised_store.py): f4 is exactly 2.0x
         # smaller on disk and in mapped memory with top-10 recall 1.000
@@ -340,16 +340,13 @@ def main() -> None:
         #    store.  It speaks execute() like everything else, so a
         #    SketchQueryServer can serve *it*, giving remote analysts
         #    one endpoint over the whole fleet.
-        # split on the store's shard boundary: each backend's scan
-        # blocks then have exactly the shapes the single store's shards
-        # do, keeping the merged ranking bit-identical rather than
-        # merely close (BLAS kernels may round differently for
-        # different block shapes)
-        half = store.shard_capacity
+        # split anywhere, shard boundary or not: each estimate's bits
+        # depend only on its query row and its stored row, so the merged
+        # ranking is bit-identical to the single store's
         part_a = ShardedSketchStore(shard_capacity=store.shard_capacity)
         part_b = ShardedSketchStore(shard_capacity=store.shard_capacity)
-        part_a.add_batch(batch[:half])
-        part_b.add_batch(batch[half:])
+        part_a.add_batch(batch[:3])
+        part_b.add_batch(batch[3:])
         backends = [
             SketchQueryServer(DistanceService(part), port=0).start()
             for part in (part_a, part_b)

@@ -15,8 +15,11 @@ setting: anyone can estimate from published sketches.
 
 The matrix-shaped variants (:func:`pairwise_sq_distances`,
 :func:`cross_sq_distances`, :func:`sq_norms`) apply the same debiasing
-entry-wise but compute every pair through one Gram matrix (a single
-BLAS call) instead of a Python loop over pairs.  They accept either a
+entry-wise.  Pairwise and cross distances share one kernel,
+:func:`cross_sq_distances_from_parts`, whose inner products run as one
+BLAS GEMV per row over fixed tiles of the other side, so each entry's
+bits depend only on its two rows: a pair estimates the same number in
+any batch, shard layout or order.  They accept either a
 :class:`~repro.core.sketch.SketchBatch` or a single sketch (treated as
 a one-row batch).
 """
@@ -27,10 +30,16 @@ import math
 
 import numpy as np
 
-try:  # BLAS syrk computes the Gram matrix in half the flops of gemm
-    from scipy.linalg.blas import dsyrk as _dsyrk
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _dsyrk = None
+#: Stored rows per tile of the distance kernel: one GEMV streams a tile
+#: against one query row, tiles outside, query rows inside.
+TILE_ROWS = 2048
+
+#: Every GEMV covers a whole multiple of this many stored rows, the last
+#: partial block zero-padded.  OpenBLAS's GEMV kernels round the last
+#: ``rows mod 4`` outputs of a call (of each thread's share, when a wide
+#: call threads) differently from the rest; a multiple of 16 keeps every
+#: share whole at up to four BLAS threads.
+PAD_ROWS = 16
 
 
 #: Metadata fields that the estimators consume; two releases claiming
@@ -192,60 +201,90 @@ def pairwise_sq_distances(batch) -> np.ndarray:
 
 
 def pairwise_sq_distances_from_values(values: np.ndarray, correction: float) -> np.ndarray:
-    """The pairwise kernel over bare ``(n, k)`` float64 rows.
+    """The pairwise kernel over bare ``(n, k)`` rows.
 
-    Exactly the arithmetic of :func:`pairwise_sq_distances`, with the
-    debias term ``correction`` supplied by the caller, so a serving
-    layer that gathers rows out of its shards pays for no
-    :class:`~repro.core.sketch.SketchBatch` around them.  The Gram
-    matrix is one BLAS ``dsyrk`` (half the flops of a GEMM), or a
-    symmetrised matmul without scipy.  No validation is performed;
+    :func:`cross_sq_distances_from_parts` with ``values`` on both sides
+    and a zero diagonal, the debias term ``correction`` supplied by the
+    caller, so a serving layer that gathers rows out of its shards pays
+    for no :class:`~repro.core.sketch.SketchBatch` around them.  Float32
+    rows take the kernel's float32 path.  Entry ``(i, j)`` has the bits
+    of the cross entry for the same two rows, whatever other rows share
+    the call, and the matrix is symmetric.  No validation is performed;
     callers are responsible for compatibility checks.
     """
-    if _dsyrk is not None and values.shape[0] > 1:
-        upper = _dsyrk(1.0, np.ascontiguousarray(values), trans=0, lower=0)
-        gram = upper + upper.T  # syrk leaves the other triangle zero...
-        np.fill_diagonal(gram, np.diagonal(upper))  # ...but doubles the diagonal
-    else:
-        gram = values @ values.T
-        gram = 0.5 * (gram + gram.T)  # plain matmul is only symmetric up to fp
-    norms = np.diagonal(gram)
-    out = norms[:, np.newaxis] + norms[np.newaxis, :] - 2.0 * gram - correction
+    wide = np.asarray(values, dtype=np.float64)
+    sq = np.einsum("ij,ij->i", wide, wide)
+    out = cross_sq_distances_from_parts(values, sq, values, sq, correction)
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+def _inner_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b.T`` as one GEMV per row of ``a`` per tile of ``b``.
+
+    The whole tiles go through one ``matmul`` call, whose C loop runs
+    their GEMVs tile by tile with the rows of ``a`` inside (``order="C"``
+    over the tile-major view of the output), so the GIL is released
+    once per call, not once per GEMV.  Only the last ``len(b) mod
+    PAD_ROWS`` rows are copied, into a zero block.
+    """
+    n, (m, k) = a.shape[0], b.shape
+    out = np.empty((n, m), dtype=b.dtype)
+    whole = m - m % PAD_ROWS
+    full = whole - whole % TILE_ROWS
+    column = a[:, :, np.newaxis]
+    if full:
+        count = full // TILE_ROWS
+        tiles = b[:full].reshape(count, 1, TILE_ROWS, k)
+        dest = out[:, :full].reshape(n, count, TILE_ROWS).transpose(1, 0, 2)
+        np.matmul(tiles, column, out=dest[..., np.newaxis], order="C")
+    if full < whole:
+        np.matmul(b[full:whole], column, out=out[:, full:whole, np.newaxis])
+    if whole < m:
+        tail = np.zeros((PAD_ROWS, k), dtype=b.dtype)
+        tail[: m - whole] = b[whole:]
+        out[:, whole:] = np.matmul(tail, column)[:, : m - whole, 0]
     return out
 
 
 def cross_sq_distances_from_parts(
     a: np.ndarray, sq_a: np.ndarray, b: np.ndarray, sq_b: np.ndarray, correction: float
 ) -> np.ndarray:
-    """The cross-distance kernel with caller-supplied squared norms.
+    """The distance kernel, with caller-supplied squared norms.
 
     Computes ``(sq_a[i] + sq_b[j]) - 2 <a_i, b_j> - correction`` —
     exactly the arithmetic of :func:`cross_sq_distances`, in that order
     — but takes the norm terms precomputed, so a serving layer that
-    caches ``sq_b`` per shard pays only the inner-product BLAS call per
-    query.  The epilogue runs in place: one BLAS call and one float64
-    block beside the result, each step rounding exactly as it would
-    into a fresh array.  No validation is performed; callers are
-    responsible for compatibility checks.
+    caches ``sq_b`` per shard pays only for the inner products per
+    query.  No validation is performed; callers are responsible for
+    compatibility checks.
+
+    **One GEMV per row per tile.**  The inner products loop over tiles
+    of :data:`TILE_ROWS` rows of ``b`` and, inside each, run one GEMV
+    per row of ``a``; every GEMV covers a whole multiple of
+    :data:`PAD_ROWS` rows, the last partial block zero-padded.  So each
+    product, and each estimate, has the bits it would have with its two
+    rows alone in the call: the same in any shard layout, batch, thread
+    or order.  The epilogue then runs in place on the whole block.
 
     **Mixed precision.**  When ``b`` is float32 — a low-precision shard
-    served by the quantised store — the inner products run as a native
-    float32 GEMM (the queries in ``a`` are cast down once, the big
-    operand streams at half the memory traffic through sgemm) and are
-    cast to float64 before anything else touches them, while the norm
-    sums and the debias correction still accumulate in float64 from
-    the caller's float64 ``sq_a``/``sq_b``.  The result is always
-    float64.  The extra rounding this admits is part of the documented
-    quantisation envelope (:mod:`repro.theory.quantisation`); the
-    float64 path is bit-for-bit unchanged.
+    served by the quantised store — the rows of ``a`` are cast to
+    float32 once, the products come from sgemv (the big operand streams
+    at half the memory traffic), and they are cast to float64 before
+    anything else touches them, while the norm sums and the debias
+    correction still accumulate in float64 from the caller's float64
+    ``sq_a``/``sq_b``.  The result is always float64.  The extra
+    rounding this admits is part of the documented quantisation
+    envelope (:mod:`repro.theory.quantisation`).
     """
-    if b.dtype == np.float32:
-        products = np.asarray(a, dtype=np.float32) @ b.T
+    dtype = np.float32 if b.dtype == np.float32 else np.float64
+    products = _inner_products(
+        np.ascontiguousarray(a, dtype=dtype), np.ascontiguousarray(b, dtype=dtype)
+    )
+    if dtype is np.float32:
         doubled = np.multiply(products, 2.0, dtype=np.float64)
     else:
-        doubled = a @ b.T
-        doubled *= 2.0
+        doubled = np.multiply(products, 2.0, out=products)
     out = np.add(sq_a[:, np.newaxis], sq_b)
     out -= doubled
     out -= correction

@@ -96,8 +96,9 @@ post-processing of released sketches: no extra privacy budget.
 **One entry point, one format.**  ``DistanceService.execute()`` is the
 only query API (the pre-query-plane shim methods are gone); build typed
 queries.  The wire format and the binary container are versioned
-independently and reject unknown versions up front: stores and wire
-payloads use container format 3 only.
+independently and reject unknown versions up front: stores use
+container format 3 only, and wire version 3 carries query releases as
+bare ``f8`` rows, never as containers.
 
 The analyst-side index :class:`~repro.core.knn.PrivateNeighborIndex`
 delegates to this layer, and a :class:`~repro.core.protocol.SketchingSession`

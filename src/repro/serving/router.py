@@ -42,8 +42,10 @@ Merge rules per query kind (mirroring the local per-shard reduction):
   the local ``lexsort((index, estimate))`` rule.  Same clamped-zero
   caveat as top-k.
 * **cross / norms** — per-backend blocks concatenated along the stored
-  axis in backend order; bit-identical always (matrix payloads ride
-  the wire as raw float64 and are never clamped).
+  axis in backend order; bit-identical always, wherever the split falls
+  (each estimate's bits depend only on its query row and its stored
+  row, and matrix payloads ride the wire as raw float64, never
+  clamped).
 * **pairwise** — answered when every requested row lives in a single
   backend (indices are translated and forwarded).  Indices number live
   rows, as they do locally, so backend offsets count live rows, not

@@ -206,7 +206,7 @@ class ShardRouting:
         r_i)^2``, which bounds every row's squared norm in the ball —
         the stand-in for the norm bound's ``hi``) plus the float32
         accumulation term ``4 * gamma * ||q|| * (||c_i|| + r_i)``
-        absorbs anything the scanning GEMM can round.  Comparing these
+        absorbs anything the scanning kernel can round.  Comparing these
         bounds *strictly greater* against a threshold can only skip
         shards whose every entry genuinely exceeds it — routed exact
         results are identical to unrouted ones, ties included.

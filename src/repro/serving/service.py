@@ -24,8 +24,11 @@ Top-k, radius and cross queries run through one scan driver.  It
 validates the query, freezes one snapshot, visits the shards and hands
 each shard's distance block to a small consumer for the query kind:
 threshold top-k selection, radius hits, or the cross writer.  A visited
-shard costs one BLAS call plus an epilogue computed in place, in the
-arithmetic order of :func:`repro.core.estimators.cross_sq_distances`.
+shard costs one GEMV per query row and fixed tile of stored rows plus
+an epilogue computed in place, in the arithmetic order of
+:func:`repro.core.estimators.cross_sq_distances`; each estimate's bits
+depend only on its query row and its stored row, never on the shard
+layout or on the other rows of the batch.
 Top-k selects by threshold: while a row holds fewer than ``k`` numeric
 candidates a block contributes its ``k`` smallest live entries
 (:func:`stable_smallest_k`); after that only the entries at or below
@@ -76,9 +79,12 @@ Two maintenance-facing contracts ride on the same snapshot discipline:
   block: top-k and radius see NaN in the dead entries, which no
   threshold admits and which a top-k row short of ``k`` numbers
   selects around, and cross copies only the live columns into its
-  output.  The surviving rows' estimates are therefore
-  *bit-identical* to what they were before the deletion — and to what
-  they will be after compaction physically drops the tombstones.
+  output.  Each estimate's bits depend only on its two rows, so the
+  surviving rows' estimates are *bit-identical* to what they were
+  before the deletion — and to what they will be after compaction
+  physically drops the tombstones and repacks the survivors into
+  other shards.  Pairwise gathers the rows it addresses and runs the
+  same kernel, so its entries survive maintenance too.
   Matrix-shaped payloads (cross, pairwise, norms) cover live rows
   only, in store order, exactly the shape a compacted store would
   serve.
@@ -193,10 +199,10 @@ def _shard_lower_bounds(
     whose every entry genuinely exceeds the threshold — bounded results
     are identical to a full scan's, ties included.
 
-    On a float32-scanned shard (a quantised store) the block's GEMM
-    rounds far more coarsely than float64 — up to the accumulation
-    envelope of :mod:`repro.theory.quantisation` — so the caller passes
-    that store's ``gamma`` and the slack widens by
+    On a float32-scanned shard (a quantised store) the block's sgemv
+    products round far more coarsely than float64 — up to the
+    accumulation envelope of :mod:`repro.theory.quantisation` — so the
+    caller passes that store's ``gamma`` and the slack widens by
     ``4 * gamma * ||q|| * sqrt(hi)``; the cached norms already bound
     the *decoded* rows, so quantisation itself needs no extra term.
     The widened slack is still orders of magnitude below any real
@@ -405,7 +411,7 @@ class DistanceService:
         return run_ordered(fn, items, executor=pool)
 
     def _scan_gamma(self, store: ShardedSketchStore | None = None) -> float:
-        """The store's GEMM accumulation envelope for prefilter slack.
+        """The store's float32 accumulation envelope for prefilter slack.
 
         Zero for float64 stores (the historical slack already covers
         float64 rounding); the float32 ``gamma_k`` otherwise, so the
@@ -633,7 +639,10 @@ class DistanceService:
         bounds = np.cumsum([0, *sizes])
         shard_ids = np.searchsorted(bounds, positions, side="right") - 1
         local = positions - bounds[shard_ids]
-        gathered = np.empty((len(indices), meta.output_dim))
+        # rows keep their scan dtype, so each entry is the cross kernel's
+        # estimate for the same two rows
+        dtype = views[0].storage.scan_dtype if views else np.float64
+        gathered = np.empty((len(indices), meta.output_dim), dtype=dtype)
         touched = set(shard_ids.tolist())
         for shard in touched:
             view = views[shard]

@@ -18,7 +18,7 @@ The *scan dtype* is what queries actually see: :attr:`ShardView.values`
 decodes storage to it on scan (``f4`` needs no decode at all — its
 stored bytes are served zero-copy, memory-mapped included), and the
 distance kernel in :func:`repro.core.estimators.cross_sq_distances_from_parts`
-runs a native float32 GEMM over float32 scan values while accumulating
+runs native float32 GEMVs over float32 scan values while accumulating
 the norm and correction arithmetic in float64.
 
 ``int8`` is scalar quantisation with one scale per shard: codes are

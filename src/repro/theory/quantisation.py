@@ -116,7 +116,7 @@ def sq_distance_error_bound(
     the storing shard's int8 step (ignored otherwise).  The bound is
     the closed form derived in the module docstring — every factor an
     over-estimate, so it holds coordinate-for-coordinate for any
-    rounding the kernel's GEMM actually performs.
+    rounding the kernel's GEMVs actually perform.
     """
     u = np.asarray(query, dtype=np.float64)
     v = np.asarray(row, dtype=np.float64)

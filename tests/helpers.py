@@ -56,8 +56,9 @@ def full_scan(store, query):
     the service makes for cross queries, with no bound), ranks each
     query row by (estimate, global position) and clamps the reported
     estimates at zero, as the service's merge does.  Every shard block
-    is the same arithmetic a bounded top-k or radius scan runs, so a
-    bounded answer over the same layout must equal this to the bit.  Returns what
+    is the same arithmetic a bounded top-k or radius scan runs, and each
+    estimate's bits depend only on its two rows, so a bounded answer
+    over any layout of the same rows must equal this to the bit.  Returns what
     ``execute(query).payload`` returns: a ranking per query row for
     top-k, one ranking for radius.
     """
@@ -89,32 +90,6 @@ def storage_roundtrip(store, values):
     round trip — compare against the store's own shards instead).
     """
     return store.storage.roundtrip(np.asarray(values, dtype=np.float64))
-
-
-def _max_norms(queries_values, stored_values):
-    q = np.atleast_2d(np.asarray(queries_values, dtype=np.float64))
-    r = np.atleast_2d(np.asarray(stored_values, dtype=np.float64))
-    return (
-        float(np.sqrt(np.einsum("ij,ij->i", q, q).max())),
-        float(np.sqrt(np.einsum("ij,ij->i", r, r).max())),
-        r.shape[1],
-    )
-
-
-def scan_jitter_atol(store, queries_values, stored_values):
-    """Tolerance for kernel-schedule jitter between two scans of one store.
-
-    Two scans of the *same* stored rows (batched vs single queries,
-    different shard groupings after a compact) agree bit-for-bit on the
-    float64 path but only to the accumulation envelope on the float32
-    path — each scan rounds its GEMM independently.  Zero-ish (1e-8)
-    for f8 stores, so the full-precision assertions keep their old
-    tightness.
-    """
-    from repro.theory.quantisation import accumulation_gamma
-
-    norm_q, norm_r, dim = _max_norms(queries_values, stored_values)
-    return 4.0 * accumulation_gamma(store.storage, dim) * norm_q * norm_r + 1e-8
 
 
 def envelope_atol(store, queries_values, stored_values):

@@ -5,8 +5,12 @@ The load-bearing claim of :mod:`repro.serving.maintenance` is that
 O(one block) — the store is never loaded *or mapped* in full
 (``RLIMIT_AS`` counts a mapping at map time, so even a lazy mmap would
 trip the cap).  Each test runs the rewrite in a subprocess that first
-caps its own address space at current-usage + a margin several times
-smaller than the store, then streams a store through anyway.
+runs the same rewrite on a small store, then caps its own address space
+at current-usage + a margin several times smaller than the store, then
+streams a store through anyway.  The warm-up puts the one-time growth
+(allocator arenas, first-call imports and caches) below the baseline,
+so the margin measures what the rewrite holds per block, whether or
+not the interpreter writes bytecode.
 
 A control subprocess allocating one store-sized buffer under the same
 cap must die of ``MemoryError`` — proving the cap is tight enough that
@@ -31,6 +35,8 @@ _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 #: rows per store; at output_dim=64 float64 that is ~20 MB of codes
 _ROWS = 40_000
+#: rows per warm-up store: two blocks, so the warm-up spills one
+_WARM_ROWS = 3_000
 _STORE_BYTES = _ROWS * 64 * 8
 #: address-space headroom the capped child gets above its import-time
 #: usage — several times smaller than one store, far smaller than two
@@ -43,14 +49,16 @@ _PRELUDE = textwrap.dedent(
     import numpy as np
     from repro.serving.maintenance import compact_store, merge_stores
 
-    def cap_address_space(margin):
+    def cap_address_space(margin, warm_up):
+        warm_up()
         for line in open("/proc/self/status"):
             if line.startswith("VmSize:"):
                 current = int(line.split()[1]) * 1024
                 break
-        resource.setrlimit(
-            resource.RLIMIT_AS, (current + margin, resource.RLIM_INFINITY)
-        )
+        # keep the hard limit: an unprivileged process cannot raise it,
+        # and CI's low-memory leg already sets one with `ulimit -v`
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        resource.setrlimit(resource.RLIMIT_AS, (current + margin, hard))
     """
 )
 
@@ -69,12 +77,17 @@ def store_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("lowmem")
     sk = PrivateSketcher(_CONFIG)
     rng = np.random.default_rng(0)
-    for name, seed in (("a", 1), ("b", 2)):
+    for name, seed, rows in (
+        ("a", 1, _ROWS),
+        ("b", 2, _ROWS),
+        ("warm-a", 3, _WARM_ROWS),
+        ("warm-b", 4, _WARM_ROWS),
+    ):
         store = ShardedSketchStore(shard_capacity=8192)
         # chunked appends keep the *builder* cheap too; positional
         # labels stay elided, as a big production store would have them
-        for start in range(0, _ROWS, 8192):
-            n = min(8192, _ROWS - start)
+        for start in range(0, rows, 8192):
+            n = min(8192, rows - start)
             store.add_batch(
                 sk.sketch_batch(rng.standard_normal((n, 64)), noise_rng=seed)
             )
@@ -86,7 +99,7 @@ class TestTheCapHasTeeth:
     def test_one_store_sized_allocation_dies(self, store_dirs):
         proc = _run(
             """
-            cap_address_space(int(sys.argv[1]))
+            cap_address_space(int(sys.argv[1]), lambda: None)
             try:
                 buffer = np.empty(int(sys.argv[2]), dtype=np.uint8)
                 buffer[::4096] = 1
@@ -104,7 +117,9 @@ class TestCappedCompaction:
     def test_compact_re_encodes_a_store_bigger_than_the_cap(self, store_dirs):
         proc = _run(
             """
-            cap_address_space(int(sys.argv[1]))
+            cap_address_space(int(sys.argv[1]), lambda: compact_store(
+                sys.argv[4], storage="f4", block_rows=int(sys.argv[3])
+            ))
             summary = compact_store(
                 sys.argv[2], storage="f4", block_rows=int(sys.argv[3])
             )
@@ -113,6 +128,7 @@ class TestCappedCompaction:
             str(_MARGIN_BYTES),
             str(store_dirs / "a"),
             str(_BLOCK_ROWS),
+            str(store_dirs / "warm-a"),
         )
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout)
@@ -129,7 +145,10 @@ class TestCappedCompaction:
         # passthrough path for neither
         proc = _run(
             """
-            cap_address_space(int(sys.argv[1]))
+            cap_address_space(int(sys.argv[1]), lambda: merge_stores(
+                sys.argv[6], sys.argv[7], dest=sys.argv[8],
+                storage="f4", block_rows=int(sys.argv[5]),
+            ))
             summary = merge_stores(
                 sys.argv[2], sys.argv[3], dest=sys.argv[4],
                 storage="f4", block_rows=int(sys.argv[5]),
@@ -141,6 +160,9 @@ class TestCappedCompaction:
             str(store_dirs / "b"),
             str(store_dirs / "merged"),
             str(_BLOCK_ROWS),
+            str(store_dirs / "warm-a"),
+            str(store_dirs / "warm-b"),
+            str(store_dirs / "warm-merged"),
         )
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout)

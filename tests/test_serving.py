@@ -25,7 +25,6 @@ from repro.serving.service import stable_smallest_k
 from tests.helpers import (
     envelope_atol,
     execute_top_k as _top_k,
-    scan_jitter_atol,
     shard_file,
     storage_roundtrip,
 )
@@ -309,15 +308,8 @@ class TestDistanceService:
         queries = _batch(sk, 4, 23)
         rows = service.execute(TopKQuery(queries=queries, k=3)).payload
         assert len(rows) == 4
-        stored_rows = service.store.to_batch().values
         for row, query in zip(rows, queries):
-            single = _top_k(service, query, 3)
-            assert [label for label, _ in row] == [label for label, _ in single]
-            for (_, est_row), (_, est_single) in zip(row, single):
-                # batched vs single-row BLAS may differ by an ulp (f8)
-                # or by the accumulation envelope (float32 scans)
-                jitter = scan_jitter_atol(service.store, query.values, stored_rows)
-                assert est_row == pytest.approx(est_single, abs=jitter)
+            assert row == _top_k(service, query, 3)
 
     def test_radius_filters_and_sorts(self):
         # reference membership from the service's own cross matrix (the
@@ -336,14 +328,23 @@ class TestDistanceService:
         assert all(est >= 0.0 for est in estimates)  # clamped payloads
 
     def test_pairwise_matches_flat_pairwise(self):
-        # pairwise gathers the decoded rows and runs the float64
-        # estimator on them, so the store's own batch is the exact
-        # reference at every storage spec
+        # pairwise gathers the decoded rows in their scan dtype and runs
+        # the one distance kernel on them, so the flat kernel over the
+        # store's own rows, and the cross estimate for each pair, are
+        # exact references at every storage spec
         sk, stored, service = self._service_and_batches()
-        full = estimators.pairwise_sq_distances(service.store.to_batch())
-        picks = (0, 5, 6, 16)  # spans all shards
-        sub = service.execute(PairwiseQuery(indices=picks)).payload
-        np.testing.assert_allclose(sub, full[np.ix_(picks, picks)], atol=1e-9)
+        rows = np.concatenate([view.values for view in service.store.snapshot()])
+        full = estimators.pairwise_sq_distances_from_values(
+            rows, estimators.sq_distance_correction(service.store.metadata)
+        )
+        picks = [0, 5, 6, 16]  # spans all shards
+        sub = service.execute(PairwiseQuery(indices=tuple(picks))).payload
+        assert sub.tobytes() == full[np.ix_(picks, picks)].tobytes()
+        cross = service.execute(CrossQuery(queries=service.store.to_batch()[picks]))
+        block = cross.payload[:, picks]
+        np.fill_diagonal(block, 0.0)
+        assert sub.tobytes() == block.tobytes()
+        np.testing.assert_array_equal(sub, sub.T)
 
     def test_pairwise_bounds_checked(self):
         _, _, service = self._service_and_batches()

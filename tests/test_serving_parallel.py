@@ -31,7 +31,6 @@ from tests.helpers import (
     execute_top_k as _top_k,
     execute_top_k_batch as _top_k_batch,
     full_scan,
-    scan_jitter_atol,
 )
 
 _CONFIG = SketchConfig(input_dim=128, epsilon=8.0, output_dim=64, sparsity=4, seed=11)
@@ -288,15 +287,6 @@ class TestConcurrentAppendsDuringQueries:
 
         store = ShardedSketchStore(shard_capacity=16)
         store.add_batch(chunks[0])
-        # exact on f8; float32-scanned stores (e.g. the f4 CI leg) admit
-        # GEMM jitter between partial- and full-shard block shapes
-        jitter = (
-            0.0
-            if store.storage.name == "f8"
-            else scan_jitter_atol(
-                store, queries.values, np.concatenate([c.values for c in chunks])
-            )
-        )
         service = DistanceService(store, ExecutionPolicy(workers=4))
         errors: list[str] = []
         stop = threading.Event()
@@ -307,9 +297,7 @@ class TestConcurrentAppendsDuringQueries:
             # width, the columns must equal the reference prefix exactly
             while not stop.is_set():
                 got = _cross(service, queries)
-                if not np.allclose(
-                    got, reference[:, : got.shape[1]], rtol=0.0, atol=jitter
-                ):
+                if got.tobytes() != reference[:, : got.shape[1]].tobytes():
                     errors.append(f"prefix of width {got.shape[1]} is inconsistent")
                     return
 
@@ -342,22 +330,6 @@ class TestConcurrentAppendsDuringQueries:
 
         store = ShardedSketchStore(shard_capacity=8)
         store.add_batch(chunks[0])
-        # exact on f8; float32 scans admit GEMM jitter on the estimates
-        # (labels must still match some prefix ranking exactly)
-        jitter = (
-            0.0
-            if store.storage.name == "f8"
-            else scan_jitter_atol(
-                store, query.values, np.concatenate([c.values for c in chunks])
-            )
-        )
-
-        def matches(got, want):
-            return len(got) == len(want) and all(
-                got_label == want_label and abs(got_est - want_est) <= jitter
-                for (got_label, got_est), (want_label, want_est) in zip(got, want)
-            )
-
         service = DistanceService(store, ExecutionPolicy(workers=2))
         results = []
         errors: list[str] = []
@@ -367,7 +339,7 @@ class TestConcurrentAppendsDuringQueries:
             while not stop.is_set():
                 got = _top_k(service, query, 5)
                 results.append(got)
-                if not any(matches(got, expected(w, 5)) for w in range(1, 101)):
+                if not any(got == expected(w, 5) for w in range(1, 101)):
                     errors.append(f"result matches no prefix: {got}")
                     return
 

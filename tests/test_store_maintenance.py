@@ -28,7 +28,6 @@ from tests.helpers import (
     execute_cross as _cross,
     execute_top_k as _top_k,
     full_scan,
-    scan_jitter_atol,
     storage_roundtrip,
 )
 
@@ -256,15 +255,9 @@ class TestCompact:
         assert mapped.shard_sizes() == [8, 8, 8, 8, 3]
         assert mapped.labels == labels
         after = _top_k(DistanceService(mapped), query, 10)
-        # same winners; estimates agree to the scan-jitter envelope (the
-        # repack regroups shard GEMMs — exact on f8, ulp-ish on float32)
-        assert [label for label, _ in after] == [label for label, _ in before]
-        jitter = scan_jitter_atol(
-            mapped, query.values, np.concatenate([np.asarray(v) for v in (
-                mapped.shard_values(i) for i in range(mapped.n_shards))])
-        )
-        for (_, est_after), (_, est_before) in zip(after, before):
-            assert est_after == pytest.approx(est_before, abs=jitter)
+        # the repack regroups the rows into other shards, and each
+        # estimate's bits depend only on its two rows
+        assert after == before
 
     def test_compact_empty_store_is_noop(self):
         store = ShardedSketchStore()

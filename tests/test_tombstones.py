@@ -39,7 +39,7 @@ from repro.serving import (
     ShardedSketchStore,
     TopKQuery,
 )
-from tests.helpers import full_scan, scan_jitter_atol
+from tests.helpers import full_scan
 
 _CONFIG = SketchConfig(input_dim=64, epsilon=8.0, output_dim=32, sparsity=4, seed=7)
 
@@ -163,10 +163,9 @@ class TestQueryInvisibility:
         assert after == [pair for pair in before if pair[0] not in dead]
 
     def test_pairwise_renumbers_over_the_live_sequence(self, setup):
-        # pairwise *gathers* the addressed rows into a fresh matrix, so
-        # the post-delete GEMM runs at a different shape — that is scan
-        # jitter (ulp-level), not the masked-scan bit-identity the
-        # other kinds get
+        # pairwise gathers the addressed rows into a fresh matrix; each
+        # entry's bits depend only on its two rows, so the survivors'
+        # block is the pre-delete matrix's live block exactly
         store, service, _ = setup
         n = len(store)
         before = service.execute(PairwiseQuery(indices=range(n))).payload
@@ -175,11 +174,7 @@ class TestQueryInvisibility:
         after = service.execute(
             PairwiseQuery(indices=range(store.live_row_count))
         ).payload
-        rows = _stacked(store)[live]
-        atol = scan_jitter_atol(store, rows, rows)
-        np.testing.assert_allclose(
-            after, before[np.ix_(live, live)], atol=atol, rtol=0.0
-        )
+        assert after.tobytes() == before[np.ix_(live, live)].tobytes()
 
     def test_pairwise_indices_range_shrinks_to_live_rows(self, setup):
         store, service, _ = setup
@@ -244,18 +239,16 @@ class TestCompactDropsTombstones:
         np.testing.assert_array_equal(_stacked(store), survivors)
 
     def test_survivor_results_match_across_the_compaction(self):
-        # physical repacking shifts shard membership, so the GEMM edge
-        # kernels may differ by an ulp — scan_jitter_atol, not exact
+        # physical repacking shifts shard membership; each estimate's
+        # bits depend only on its two rows, so the answers stay exact
         store, sk = _store(n=14)
         service = DistanceService(store)
         queries = _batch(sk, 3, 4)
         store.delete(["row-2", "row-5", "row-13"])
         before = service.execute(CrossQuery(queries=queries)).payload
-        stored = _stacked(store)
         store.compact()
         after = service.execute(CrossQuery(queries=queries)).payload
-        atol = scan_jitter_atol(store, queries.values, stored)
-        np.testing.assert_allclose(after, before, atol=atol, rtol=0.0)
+        assert after.tobytes() == before.tobytes()
         ranked = service.execute(TopKQuery(queries=queries, k=3)).payload
         assert all(len(r) == 3 for r in ranked)
 
@@ -297,9 +290,8 @@ class TestSelectionAndMasksProperty:
     top-k must equal :func:`tests.helpers.full_scan` bit for bit, and so
     must radius at 0, at an estimate and at infinity; cross must be the
     pre-delete matrix's live columns, and pairwise over every live index
-    the pairwise kernel over the live rows (and the pre-delete matrix's
-    live block up to the kernel's rounding); no tombstoned label may
-    surface.  Pairwise over any index list (empty, repeated, negative,
+    the pairwise kernel over the live rows and the pre-delete matrix's
+    live block; no tombstoned label may surface.  Pairwise over any index list (empty, repeated, negative,
     every live row) is the pairwise kernel over the rows at those live
     positions, with stats that count the shards and distinct rows it
     read.
@@ -344,15 +336,13 @@ class TestSelectionAndMasksProperty:
             store.delete([labels[i] for i in doomed])
         dead = {labels[i] for i in doomed}
         live = np.setdiff1d(np.arange(n), sorted(doomed))
-        # pairwise over the live rows, picked by position: bit-identical to
-        # the served answer; the pre-delete matrix's entries differ by the
-        # Gram kernel's batch-dependent rounding (ROADMAP item 1)
+        # pairwise over the live rows, picked by position, in their scan
+        # dtype: bit-identical to the served answer and to the pre-delete
+        # matrix's live block
         stored = np.concatenate([view.values for view in store.snapshot()])[live]
-        live_pairs = estimators.pairwise_sq_distances(
-            dataclasses.replace(store.metadata, values=stored.astype(np.float64), labels=())
+        live_pairs = estimators.pairwise_sq_distances_from_values(
+            stored, estimators.sq_distance_correction(store.metadata)
         )
-        finite = stored[np.isfinite(stored).all(axis=1)]
-        atol = scan_jitter_atol(store, finite, finite) if finite.size else 0.0
 
         # a finite radius is one of the estimates themselves: a tie at the edge
         edges = before[np.isfinite(before) & (before >= 0)].tolist() or [1.0]
@@ -377,9 +367,7 @@ class TestSelectionAndMasksProperty:
                     every = PairwiseQuery(indices=tuple(range(live.size)))
                     pairwise = service.execute(every).payload
                     assert pairwise.tobytes() == live_pairs.tobytes()
-                    np.testing.assert_allclose(
-                        pairwise, pairs[np.ix_(live, live)], rtol=0, atol=atol
-                    )
+                    assert pairwise.tobytes() == pairs[np.ix_(live, live)].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -404,12 +392,12 @@ class TestSelectionAndMasksProperty:
             label="indices",
         )
         # the reference: the rows at those live positions, gathered from
-        # the physical layout, through the pairwise kernel
+        # the physical layout in their scan dtype, through the pairwise kernel
         views = store.snapshot()
         physical = live[[i % m for i in indices]] if indices else live[:0]
         rows = np.concatenate([view.values for view in views])[physical]
         expected = estimators.pairwise_sq_distances_from_values(
-            rows.astype(np.float64), estimators.sq_distance_correction(store.metadata)
+            rows, estimators.sq_distance_correction(store.metadata)
         )
         owners = {
             j for p in physical.tolist()

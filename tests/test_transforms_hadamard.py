@@ -2,10 +2,6 @@
 
 import numpy as np
 import pytest
-try:  # scipy is an optional dependency: the CI matrix has a no-scipy leg
-    from scipy.linalg import hadamard as scipy_hadamard
-except ImportError:  # pragma: no cover - exercised only without scipy
-    scipy_hadamard = None
 
 from repro.transforms.hadamard import (
     fwht,
@@ -31,10 +27,14 @@ class TestPowerOfTwoHelpers:
 
 
 class TestHadamardMatrix:
-    @pytest.mark.skipif(scipy_hadamard is None, reason="requires scipy")
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 32])
     def test_matches_scipy(self, n):
-        assert np.array_equal(hadamard_matrix(n), scipy_hadamard(n).astype(float))
+        # the matrices scipy's hadamard(n) builds, Sylvester's
+        # construction: entry (i, j) is (-1) ** popcount(i & j),
+        # computed here so the check also runs without scipy
+        i, j = np.indices((n, n))
+        odd = np.vectorize(lambda v: bin(v).count("1") % 2)(i & j)
+        assert np.array_equal(hadamard_matrix(n), 1.0 - 2.0 * odd)
 
     def test_orthogonality(self):
         h = hadamard_matrix(16, normalized=True)
