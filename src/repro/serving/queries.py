@@ -141,6 +141,9 @@ class PairwiseQuery:
             ) from exc
         indices = []
         for i in items:
+            if type(i) is int:  # the common case skips the ABC checks
+                indices.append(i)
+                continue
             # int() would silently truncate 1.9 to row 1; only exactly
             # integral values (5, np.int64(5), 5.0) are accepted
             if isinstance(i, bool) or not isinstance(i, numbers.Real):

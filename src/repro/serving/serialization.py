@@ -93,8 +93,8 @@ def encode_label(label) -> object:
     kind survives; any other object degrades to ``str(label)`` with an
     explicit marker (the lossy case is visible, not silent).
     """
-    if label is None or isinstance(label, str):
-        return label
+    if type(label) is int or label is None or isinstance(label, str):
+        return label  # exact ints first: one per row on every rewrite
     if isinstance(label, (bool, np.bool_)):  # bools are Integral; catch first
         return bool(label)
     if isinstance(label, numbers.Integral):

@@ -103,6 +103,7 @@ print an unconnectable ``http://0.0.0.0:PORT``.
 from __future__ import annotations
 
 import argparse
+import email.utils
 import json
 import multiprocessing
 import os
@@ -111,6 +112,7 @@ import signal
 import socket
 import sys
 import threading
+import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -148,19 +150,19 @@ def _query_rows(release) -> int:
     return 1 if getattr(values, "ndim", 1) == 1 else values.shape[0]
 
 
-def _result_cells(query, store) -> int:
-    """Upper bound on the result entries a query makes the server hold."""
+def _result_cells(query, rows: int) -> int:
+    """Upper bound on the result entries a query over ``rows`` rows makes."""
     if isinstance(query, PairwiseQuery):
         return len(query.indices) ** 2
     if isinstance(query, CrossQuery):
-        return _query_rows(query.queries) * len(store)
+        return _query_rows(query.queries) * rows
     if isinstance(query, TopKQuery):
         # one (label, estimate) pair per query row per winner
-        return _query_rows(query.queries) * min(query.k, len(store))
+        return _query_rows(query.queries) * min(query.k, rows)
     # norms return one entry per stored row; a radius query's worst case
     # (radius_sq=inf) hits every stored row — neither is free, and a
     # /query-many batch of them must not slip under the cap as zero
-    return len(store)
+    return rows
 
 
 def _check_result_size(queries, store) -> None:
@@ -168,9 +170,11 @@ def _check_result_size(queries, store) -> None:
 
     Summed across a ``/query-many`` batch — ``execute_many`` holds every
     result until the batch is encoded, so the batch is the allocation
-    unit, not the individual query.
+    unit, not the individual query.  The row count comes from the
+    store's layout, read once.
     """
-    cells = sum(_result_cells(query, store) for query in queries)
+    rows = len(store)
+    cells = sum(_result_cells(query, rows) for query in queries)
     if cells > MAX_RESULT_CELLS:
         raise ValueError(
             f"request would produce {cells} result cells, over this server's "
@@ -235,6 +239,9 @@ class _QueryHandler(BaseHTTPRequestHandler):
     # HTTP/1.1 keep-alive: DistanceClient pools connections and reuses
     # them across requests, so a query costs a round trip, not a connect
     protocol_version = "HTTP/1.1"
+    #: ``(second, Date header value)`` of the server's last reply, set on
+    #: its bound subclass; one tuple, so a thread swaps both at once
+    _date = (0, "")
 
     # -- plumbing ------------------------------------------------------------
 
@@ -293,7 +300,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
         head = [
             f"{self.protocol_version} {status} {self.responses[status][0]}",
             f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
+            f"Date: {self._http_date()}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(body)}",
         ]
@@ -308,6 +315,15 @@ class _QueryHandler(BaseHTTPRequestHandler):
             # drop the connection without the traceback ThreadingHTTPServer
             # would otherwise print for every disconnect under load
             self.close_connection = True
+
+    def _http_date(self) -> str:
+        """The ``Date`` header value for now, formatted once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = email.utils.formatdate(now, usegmt=True)
+            type(self)._date = (now, text)
+        return text
 
     def _read_body(self) -> bytes | None:
         try:
@@ -369,9 +385,11 @@ class _QueryHandler(BaseHTTPRequestHandler):
         ``execute()`` is deterministic given the stored sketches (see
         :mod:`repro.serving.cache` for why replaying a release costs no
         privacy budget), and the token — row count, config digest,
-        storage, generation, tombstone count — changes on any append,
-        delete or generation swap, so a hit is always the byte-identical
-        envelope a fresh execution would produce.  (Tombstones only grow
+        storage, generation, tombstone count, read from the store's
+        current :class:`~repro.serving.store.StoreLayout` without
+        walking its shards — changes on any append, delete or
+        generation swap, so a hit is always the byte-identical envelope
+        a fresh execution would produce.  (Tombstones only grow
         within a generation and ``compact()`` clears them while bumping
         the generation, so the tuple never repeats across maintenance.)
         The token is re-checked after computing: a result that raced a
@@ -394,15 +412,7 @@ class _QueryHandler(BaseHTTPRequestHandler):
         store = getattr(self.service, "store", None)
         if store is None:
             return None  # a router has no cheap store-state token: no caching
-        meta = store.metadata
-        rows = len(store)
-        return (
-            rows,
-            None if meta is None else meta.config_digest,
-            store.storage.name,
-            store.generation,
-            rows - store.live_row_count,  # the tombstone count, without a copy
-        )
+        return store.layout().token
 
     def do_GET(self) -> None:
         if self.body_length:
@@ -432,15 +442,15 @@ class _QueryHandler(BaseHTTPRequestHandler):
         if store is None:
             payload = dict(self.service.health())  # router aggregate
         else:
-            rows, live = len(store), store.live_row_count
+            layout = store.layout()
             payload = {
                 "status": "ok",
-                "rows": rows,
-                "live_rows": live,
+                "rows": layout.rows,
+                "live_rows": layout.live_rows,
                 "shards": store.n_shards,
                 "storage": store.storage.name,
                 "generation": store.generation,
-                "tombstones": rows - live,
+                "tombstones": layout.tombstones,
                 "config_digest": (
                     None if store.metadata is None else store.metadata.config_digest
                 ),

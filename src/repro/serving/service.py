@@ -64,11 +64,13 @@ would.  Four mechanisms keep large stores fast:
   tightens on the most promising shards first and rules out the rest
   early.  The order never changes an answer: rankings merge on the
   estimate, then the global row position.
-* **Snapshot reads** — every query freezes a
-  :meth:`~repro.serving.store.ShardedSketchStore.snapshot` first, so it
-  sees a consistent prefix of the store even while one writer keeps
-  appending (the store-level concurrency contract: one writer at a
-  time, any number of readers).
+* **Snapshot reads** — every query freezes the store's current
+  :class:`~repro.serving.store.StoreLayout` first, so it sees a
+  consistent prefix of the store even while one writer keeps appending
+  (the store-level concurrency contract: one writer at a time, any
+  number of readers).  The layout is built once per mutation, so a
+  query reads its views, live-row offsets and row counts without
+  walking the shards.
 
 Two maintenance-facing contracts ride on the same snapshot discipline:
 
@@ -83,8 +85,9 @@ Two maintenance-facing contracts ride on the same snapshot discipline:
   surviving rows' estimates are *bit-identical* to what they were
   before the deletion — and to what they will be after compaction
   physically drops the tombstones and repacks the survivors into
-  other shards.  Pairwise gathers the rows it addresses and runs the
-  same kernel, so its entries survive maintenance too.
+  other shards.  Pairwise finds the rows it addresses with one search
+  of the layout's live-row offsets, gathers them and runs the same
+  kernel, so its entries survive maintenance too.
   Matrix-shaped payloads (cross, pairwise, norms) cover live rows
   only, in store order, exactly the shape a compacted store would
   serve.
@@ -141,7 +144,12 @@ from repro.serving.queries import (
     RadiusQuery,
     TopKQuery,
 )
-from repro.serving.store import DEFAULT_SHARD_CAPACITY, ShardedSketchStore, ShardView
+from repro.serving.store import (
+    DEFAULT_SHARD_CAPACITY,
+    ShardedSketchStore,
+    ShardView,
+    StoreLayout,
+)
 
 
 def stable_smallest_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -235,14 +243,12 @@ def _smallest_live(row: np.ndarray, k: int, dead: np.ndarray | None) -> np.ndarr
 
 
 class _Scan(NamedTuple):
-    """One query's validated rows over one frozen snapshot."""
+    """One query's validated rows over one frozen store layout."""
 
     store: ShardedSketchStore
+    layout: StoreLayout
     rows: np.ndarray  # (n_queries, output_dim) float64
     sq_rows: np.ndarray
-    views: list[ShardView]  # live views only
-    offsets: np.ndarray  # each view's first column among the live rows
-
 
 
 def _rankings(store: ShardedSketchStore, parts: list, n_queries: int, limit=None) -> list:
@@ -267,18 +273,19 @@ def _rankings(store: ShardedSketchStore, parts: list, n_queries: int, limit=None
 
 
 def _shard_stats(
-    views: list[ShardView],
+    layout: StoreLayout,
     scanned_mask: list[bool],
     routed_mask: list[bool] | None = None,
 ) -> QueryStats:
-    """Stats for a per-shard scan; ``scanned_mask[i]`` is False when pruned.
+    """Stats for a per-shard scan of ``layout``'s live views.
 
-    Row counts are *live* rows — tombstoned rows are not served, so they
+    ``scanned_mask[i]`` is False when live view ``i`` was pruned.  Row
+    counts are *live* rows — tombstoned rows are not served, so they
     are not reported, matching what a compacted store would say.
     ``routed_mask`` marks the pruned shards the centroid-ball bound
     alone rules out.
     """
-    rows_total = sum(view.live_size for view in views)
+    views = layout.live_views
     rows_scanned = sum(
         view.live_size for view, scanned in zip(views, scanned_mask) if scanned
     )
@@ -288,7 +295,7 @@ def _shard_stats(
         shards_pruned=len(views) - visited,
         shards_routed=0 if routed_mask is None else sum(routed_mask),
         rows_scanned=rows_scanned,
-        rows_total=rows_total,
+        rows_total=layout.live_rows,
     )
 
 
@@ -425,7 +432,7 @@ class DistanceService:
     # -- the scan driver -----------------------------------------------------
 
     def _freeze(self, release) -> _Scan:
-        """Validate a query release and freeze one snapshot to scan it against.
+        """Validate a query release and freeze the store layout it scans.
 
         Validation runs against the pinned metadata whenever any release
         has ever been added — including when the store currently holds
@@ -440,29 +447,27 @@ class DistanceService:
         estimators.check_compatible(meta, release)
         rows = np.asarray(release.values, dtype=np.float64)
         rows = rows[np.newaxis, :] if rows.ndim == 1 else rows
-        views = [v for v in store.snapshot() if v.live_size]
-        offsets = np.cumsum([0] + [view.live_size for view in views])
-        return _Scan(store, rows, np.einsum("ij,ij->i", rows, rows), views, offsets)
+        return _Scan(store, store.layout(), rows, np.einsum("ij,ij->i", rows, rows))
 
     def _bounds(self, scan: _Scan, correction: float):
         """``(combined, centroid-ball)`` lower-bound matrices.
 
         The norm bound always runs.  The centroid-ball bound joins it,
         and the combined bound is the larger of the two, whenever the
-        store's routing table matches this exact snapshot's per-view
-        sizes — a concurrent append between the table read and the
-        snapshot can therefore never pair fresh rows with stale ball
-        geometry.  Without such a table the ball matrix is ``None``; on
-        an empty snapshot both are.
+        store's routing table matches this exact layout's shard sizes —
+        a concurrent append between the table read and the layout read
+        can therefore never pair fresh rows with stale ball geometry.
+        Without such a table the ball matrix is ``None``; on an empty
+        layout both are.
         """
-        views, store = scan.views, scan.store
+        views, store = scan.layout.live_views, scan.store
         if not views:
             return None, None
         query_norms = np.sqrt(scan.sq_rows)
         gamma = self._scan_gamma(store)
         bounds = _shard_lower_bounds(views, scan.sq_rows, query_norms, correction, gamma)
         routing = store.routing
-        if routing is None or not routing.matches([v.size for v in views]):
+        if routing is None or not routing.matches(scan.layout.shard_sizes):
             return bounds, None
         route = routing.lower_bounds(
             scan.rows, scan.sq_rows, query_norms, correction, gamma
@@ -482,7 +487,7 @@ class DistanceService:
         shards run in storage order.  Returns the non-``None`` results
         of ``take`` (in visit order) and the stats.
         """
-        views = scan.views
+        views, offsets = scan.layout.live_views, scan.layout.live_offsets
         correction = estimators.sq_distance_correction(scan.store.metadata)
         bounds, route = (None, None) if cutoff is None else self._bounds(scan, correction)
         order = np.arange(len(views))
@@ -506,11 +511,11 @@ class DistanceService:
             # the bits a compacted store would give them
             if view.dead is not None:
                 values[:, view.dead] = np.nan
-            return take(values, view, int(scan.offsets[i]))
+            return take(values, view, int(offsets[i]))
 
         results = self._run_ordered(visit, order.tolist())
         parts = [r for r in results if r is not None]
-        return parts, _shard_stats(views, scanned, routed)
+        return parts, _shard_stats(scan.layout, scanned, routed)
 
     # -- the one entry point -------------------------------------------------
 
@@ -603,7 +608,7 @@ class DistanceService:
         scan = self._freeze(query.queries)
         # columns cover live rows only, in store order — the exact matrix
         # a compacted (tombstone-free) store would serve
-        out = np.empty((scan.rows.shape[0], int(scan.offsets[-1])))
+        out = np.empty((scan.rows.shape[0], scan.layout.live_rows))
 
         def take(values, view, offset) -> None:
             columns = out[:, offset : offset + view.live_size]
@@ -621,36 +626,34 @@ class DistanceService:
         meta = store.metadata
         if meta is None:
             raise ValueError("the index is empty")
-        views, sizes = [], []
-        for view in store.snapshot():
-            size = view.live_size
-            if size:
-                views.append(view)
-                sizes.append(size)
+        layout = store.layout()
+        views, offsets = layout.live_views, layout.live_offsets
         # indices address the *live* row sequence — the numbering a
         # compacted store would have, so answers survive maintenance
-        n = sum(sizes)
+        n = layout.live_rows
         indices = query.indices
         if indices and (min(indices) < -n or max(indices) >= n):
             raise IndexError(f"indices out of range for store of {n} rows")
         positions = np.asarray(indices, dtype=np.int64)
         if indices:
             positions %= n
-        bounds = np.cumsum([0, *sizes])
-        shard_ids = np.searchsorted(bounds, positions, side="right") - 1
-        local = positions - bounds[shard_ids]
+        shard_ids = np.searchsorted(offsets, positions, side="right") - 1
+        local = positions - offsets[shard_ids]
         # rows keep their scan dtype, so each entry is the cross kernel's
         # estimate for the same two rows
         dtype = views[0].storage.scan_dtype if views else np.float64
         gathered = np.empty((len(indices), meta.output_dim), dtype=dtype)
-        touched = set(shard_ids.tolist())
-        for shard in touched:
-            view = views[shard]
-            mask = shard_ids == shard
-            rows = local[mask]
-            if view.dead is not None:
-                rows = np.delete(np.arange(view.size), view.dead)[rows]
-            gathered[mask] = view.values[rows]
+        touched = {}  # view number -> (its rows, its live-to-physical map)
+        for i, (shard, row) in enumerate(zip(shard_ids.tolist(), local.tolist())):
+            source = touched.get(shard)
+            if source is None:
+                view = views[shard]
+                live = None
+                if view.dead is not None:
+                    live = np.delete(np.arange(view.size), view.dead)
+                source = touched[shard] = (view.values, live)
+            values, live = source
+            gathered[i] = values[row if live is None else live[row]]
         # shards the gather never touches count as pruned (skipped without
         # a read — on an mmap store their files stay cold), preserving the
         # visited + pruned == snapshot-shards invariant of QueryStats
@@ -668,7 +671,8 @@ class DistanceService:
         meta = store.metadata
         if meta is None:
             raise ValueError("the index is empty")
-        views = [v for v in store.snapshot() if v.live_size]
+        layout = store.layout()
+        views = layout.live_views
         correction = estimators.sq_norm_correction(meta)
         if not views:
             return np.empty(0), QueryStats()
@@ -681,7 +685,7 @@ class DistanceService:
             )
             - correction
         )
-        return norms, _shard_stats(views, [True] * len(views))
+        return norms, _shard_stats(layout, [True] * len(views))
 
 
 DistanceService._HANDLERS = {

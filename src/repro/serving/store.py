@@ -67,6 +67,13 @@ one writer at a time; any number of concurrent readers, each of which
 sees a *consistent prefix* of the store as of its :meth:`snapshot`.
 Rows and their cached norms are published before the shard's size, so a
 snapshot never exposes partially written rows.
+
+Readers take the store's shape from one immutable :class:`StoreLayout`
+per state of the store: its shard views, row counts and cache token are
+derived once, by the first reader after a mutation, and every later
+request reads them without walking the shards.  Every mutation bumps a
+version counter once its change is visible, which is what marks the
+layout stale.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -368,7 +376,8 @@ class ShardView:
     ``start`` is the shard's global row offset; ``size`` the number of
     rows frozen by the snapshot.  Values and norms are exposed lazily so
     that a view of a memory-mapped shard the prefilter skips never
-    touches the file.
+    touches the file.  Views belong to a :class:`StoreLayout` and are
+    shared by every query that reads the same state of the store.
 
     ``dead`` is the sorted array of *local* row indices tombstoned at
     snapshot time (``None`` when the shard has none — the overwhelmingly
@@ -441,6 +450,31 @@ class ShardView:
         return self._shard.norm_bounds()
 
 
+class StoreLayout(NamedTuple):
+    """The store's shape at one state, derived once and read per request.
+
+    ``views`` holds one :class:`ShardView` per non-empty shard (fully
+    tombstoned ones included, so the views tile the physical layout);
+    ``live_views`` the views that still serve rows, and ``live_offsets``
+    the first live-row number of each of them plus the live-row total
+    (``len(live_views) + 1`` entries), the numbering pairwise indices
+    and cross columns use.  ``token`` is the server's cache key for this
+    state: rows, config digest, storage name, generation and tombstone
+    count.  Building a layout reads shard sizes, never shard values, so
+    on an mmap store it maps nothing.
+    """
+
+    version: int
+    views: tuple
+    live_views: tuple
+    live_offsets: np.ndarray
+    rows: int
+    live_rows: int
+    tombstones: int
+    shard_sizes: tuple
+    token: tuple
+
+
 class ShardedSketchStore:
     """Append-only store of compatible released sketches, in shards.
 
@@ -467,6 +501,16 @@ class ShardedSketchStore:
     the query plane runs unchanged, within the documented error
     envelope of :mod:`repro.theory.quantisation`.  Loading a saved
     store always uses the storage recorded in its manifest.
+
+    ``len()``, :attr:`live_row_count`, :meth:`shard_sizes`,
+    :meth:`snapshot` and the query plane read one :class:`StoreLayout`
+    (:meth:`layout`).  Each mutation — an append, a new or attached
+    shard, a delete, a tombstone restore on load, a compaction's swap,
+    an assignment to :attr:`generation` — bumps ``_version`` after its
+    change is visible, and the first reader that finds the cached
+    layout's version behind rebuilds it.  A single-row :meth:`add` thus
+    stays O(1), and a reader sees either the old layout or the new one,
+    each a consistent prefix of the store.
     """
 
     def __init__(
@@ -488,17 +532,81 @@ class ShardedSketchStore:
         #: sorted global row indices, see delete(); replaced, never
         #: mutated, so a snapshot reads one consistent array
         self._tombstones = np.empty(0, dtype=np.intp)
-        #: Bumped every time maintenance rewrites the shard layout;
-        #: persisted in the manifest so servers can watch for swaps.
-        self.generation: int = 0
+        self._generation = 0
         #: Centroid routing table for the *current* shard layout, or
         #: ``None``; appends and deletes invalidate it (see `routing`).
         self._routing: ShardRouting | None = None
+        #: bumped by every mutation once it is visible; see layout()
+        self._version = 0
+        self._layout: StoreLayout | None = None
 
     # -- introspection -------------------------------------------------------
 
+    @property
+    def generation(self) -> int:
+        """Bumped every time maintenance rewrites the shard layout.
+
+        Persisted in the manifest so servers can watch for swaps, and
+        part of the cache token, so an assignment invalidates the layout.
+        """
+        return self._generation
+
+    @generation.setter
+    def generation(self, value: int) -> None:
+        self._generation = value
+        self._version += 1
+
+    def layout(self) -> StoreLayout:
+        """The :class:`StoreLayout` of the store's current state.
+
+        Built by the first call after a mutation and shared by every
+        call until the next one.  The version is read before the shards,
+        so a layout built while a mutation lands is tagged with the
+        version before it and rebuilt by the next reader after it.
+        """
+        version = self._version
+        layout = self._layout
+        if layout is None or layout.version != version:
+            layout = self._layout = self._build_layout(version)
+        return layout
+
+    def _build_layout(self, version: int) -> StoreLayout:
+        # tombstones are read before the shards: every tombstone names a
+        # row that was visible when it was set, so it lies in the walk
+        dead_global = self._tombstones
+        views, sizes, start = [], [], 0
+        for shard in list(self._shards):
+            size = shard.size
+            sizes.append(size)
+            if size:
+                dead = None
+                if dead_global.size:
+                    lo, hi = np.searchsorted(dead_global, (start, start + size))
+                    if hi > lo:
+                        dead = dead_global[lo:hi] - start
+                # fully tombstoned views stay in the layout (persistence
+                # relies on views tiling the physical layout); queries skip
+                # them by their zero live_size without touching the shard
+                views.append(ShardView(start, size, shard, dead=dead))
+            start += size
+        live = tuple(view for view in views if view.live_size)
+        offsets = np.cumsum([0, *(view.live_size for view in live)])
+        offsets.flags.writeable = False
+        template = self._template
+        token = (
+            start,
+            None if template is None else template.config_digest,
+            self.storage.name,
+            self._generation,
+            dead_global.size,
+        )
+        return StoreLayout(
+            version, tuple(views), live, offsets, start, start - dead_global.size,
+            dead_global.size, tuple(sizes), token,
+        )
+
     def __len__(self) -> int:
-        return sum(shard.size for shard in self._shards)
+        return self.layout().rows
 
     @property
     def n_shards(self) -> int:
@@ -532,9 +640,10 @@ class ShardedSketchStore:
         ``rebuild_routing``.
         """
         routing = self._routing
-        if routing is None or self._tombstones.size:
+        if routing is None:
             return None
-        if not routing.matches(self.shard_sizes()):
+        layout = self.layout()
+        if layout.tombstones or not routing.matches(layout.shard_sizes):
             return None
         return routing
 
@@ -555,10 +664,11 @@ class ShardedSketchStore:
         The same dictionary the HTTP frontend's ``GET /meta`` embeds,
         so operators see identical numbers locally and remotely.
         """
+        layout = self.layout()
         return {
-            "rows": len(self),
-            "live_rows": self.live_row_count,
-            "tombstones": self._tombstones.size,
+            "rows": layout.rows,
+            "live_rows": layout.live_rows,
+            "tombstones": layout.tombstones,
             "generation": self.generation,
             "shards": self.n_shards,
             "shard_capacity": self.shard_capacity,
@@ -629,6 +739,8 @@ class ShardedSketchStore:
         :meth:`~_Shard.admit`; zero means it is full — or an int8 shard
         whose fixed scale the chunk would clip — and a fresh shard opens
         (a fresh shard always admits, so the loop always progresses).
+        The version bump comes last, so the layout goes stale only once
+        every row has landed.
         """
         offset = 0
         while offset < rows.shape[0]:
@@ -646,6 +758,7 @@ class ShardedSketchStore:
                 take = self._shards[-1].admit(remaining)
             self._shards[-1].append(rows[offset : offset + take])
             offset += take
+        self._version += 1
 
     # -- shard access --------------------------------------------------------
 
@@ -658,7 +771,7 @@ class ShardedSketchStore:
         return self._shards[i].sq_norms
 
     def shard_sizes(self) -> list[int]:
-        return [shard.size for shard in self._shards]
+        return list(self.layout().shard_sizes)
 
     @property
     def resident_shards(self) -> int:
@@ -673,32 +786,18 @@ class ShardedSketchStore:
             1 for shard in self._shards if getattr(shard, "materialized", True)
         )
 
-    def snapshot(self) -> list[ShardView]:
+    def snapshot(self) -> tuple[ShardView, ...]:
         """A consistent point-in-time view of the store, one entry per shard.
 
-        Shard sizes are read once; rows appended afterwards are
+        The current :class:`StoreLayout`'s views: shard sizes were read
+        once, when the layout was built, so rows appended afterwards are
         invisible to the snapshot, and rows inside it are fully written
         (sizes are published after their rows).  Queries built on a
         snapshot therefore see a consistent prefix of the store even
-        while a writer keeps appending.
+        while a writer keeps appending.  Every snapshot of one state is
+        the same tuple of views.
         """
-        views = []
-        start = 0
-        dead_global = self._tombstones
-        for shard in list(self._shards):
-            size = shard.size
-            if size:
-                dead = None
-                if dead_global.size:
-                    lo, hi = np.searchsorted(dead_global, (start, start + size))
-                    if hi > lo:
-                        dead = dead_global[lo:hi] - start
-                # fully tombstoned views stay in the snapshot (persistence
-                # relies on views tiling the physical layout); queries skip
-                # them by their zero live_size without touching the shard
-                views.append(ShardView(start, size, shard, dead=dead))
-            start += size
-        return views
+        return self.layout().views
 
     def shard_batch(self, i: int) -> SketchBatch:
         """Shard ``i`` as a :class:`SketchBatch` sharing the buffer."""
@@ -730,7 +829,7 @@ class ShardedSketchStore:
     @property
     def live_row_count(self) -> int:
         """Rows queries actually serve: ``len(self)`` minus tombstones."""
-        return len(self) - self._tombstones.size
+        return self.layout().live_rows
 
     def delete(self, labels) -> int:
         """Tombstone every row whose label is in ``labels``; count new ones.
@@ -777,6 +876,7 @@ class ShardedSketchStore:
             # "fresh layout or nothing": mark the table stale so the
             # next compaction rebuilds it over the survivors
             self._routing = None
+            self._version += 1
         return int(added.size)
 
     # -- maintenance ---------------------------------------------------------
@@ -858,7 +958,9 @@ class ShardedSketchStore:
         self._labels = fresh._labels
         self._tombstones = np.empty(0, dtype=np.intp)
         self._routing = table
-        self.generation += 1  # last: a new generation only ever shows the new rows
+        # last, and its setter marks the layout stale: a new generation
+        # only ever shows the new rows
+        self.generation += 1
         return self
 
     def _take(self, codes: np.ndarray, view: ShardView, labels: list) -> None:
@@ -1017,6 +1119,7 @@ class ShardedSketchStore:
                     f"store's {rows} rows"
                 )
             store._tombstones = np.unique(np.array(tombstones, dtype=np.intp))
+            store._version += 1
         if len(store) != manifest["n_rows"]:
             raise SerializationError(
                 f"store at {root} holds {len(store)} rows, manifest says "
@@ -1065,21 +1168,21 @@ class ShardedSketchStore:
             self._template = info.meta
         else:
             estimators.check_compatible(self._template, info.meta)
-        if not info.n_rows:
-            return
-        start = len(self._labels)
-        self._labels.extend(info.labels or range(start, start + info.n_rows))
-        if raw is None:
-            self._shards.append(_MappedShard(info))
-            return
-        shard = _Shard(
-            max(self.shard_capacity, info.n_rows),
-            info.meta.output_dim,
-            self.storage,
-            initial_rows=info.n_rows,
-        )
-        shard.adopt(raw, info.scale)
-        self._shards.append(shard)
+        if info.n_rows:
+            start = len(self._labels)
+            self._labels.extend(info.labels or range(start, start + info.n_rows))
+            if raw is None:
+                shard = _MappedShard(info)
+            else:
+                shard = _Shard(
+                    max(self.shard_capacity, info.n_rows),
+                    info.meta.output_dim,
+                    self.storage,
+                    initial_rows=info.n_rows,
+                )
+                shard.adopt(raw, info.scale)
+            self._shards.append(shard)
+        self._version += 1
 
 
 # -- the one rewrite pass ------------------------------------------------------

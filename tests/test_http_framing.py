@@ -17,10 +17,12 @@
 """
 
 import contextlib
+import email.utils
 import http.client
 import http.server
 import io
 import socket
+import time
 
 import numpy as np
 import pytest
@@ -436,6 +438,22 @@ class TestServedStatuses:
         with _raw(served[2]) as (sock, rfile):
             sock.sendall(_post(b"{}", "Expect: 100-continue", version="HTTP/1.0"))
             assert _read_reply(rfile)[0] == 400  # the reply, no interim 100
+
+    def test_the_date_header_names_the_second_the_reply_was_sent_in(self, served):
+        # formatted once per second and reused: across a second boundary
+        # every reply must still carry its own second
+        with _raw(served[2]) as (sock, rfile):
+            for _ in range(4):
+                before = int(time.time())
+                sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                status, headers, _ = _read_reply(rfile)
+                after = int(time.time())
+                assert status == 200
+                assert headers["date"] in {
+                    email.utils.formatdate(second, usegmt=True)
+                    for second in range(before, after + 1)
+                }
+                time.sleep(0.4)
 
 
 class TestParserOffThePath:

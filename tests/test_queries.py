@@ -230,13 +230,15 @@ class TestPairwiseQueryValidation:
         assert all(type(i) is int for i in query.indices)
 
     def test_non_integer_indices_rejected(self):
-        with pytest.raises(ValueError, match="integers"):
-            PairwiseQuery(indices=("a", "b"))
+        for bad in (("a", "b"), ("5",), (np.bool_(True),)):
+            with pytest.raises(ValueError, match="integers"):
+                PairwiseQuery(indices=bad)
 
     def test_float_indices_rejected_not_truncated(self):
         # int() would quietly map 1.9 to row 1 — the wrong row, no error
-        with pytest.raises(ValueError, match="integers"):
-            PairwiseQuery(indices=(1.9,))
+        for bad in (1.9, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integers"):
+                PairwiseQuery(indices=(bad,))
         with pytest.raises(ValueError, match="integers"):
             PairwiseQuery(indices=(True, 2))
         with pytest.raises(ValueError, match="integers"):
@@ -247,6 +249,10 @@ class TestPairwiseQueryValidation:
         # long as every value is exactly integral (the legacy domain)
         query = PairwiseQuery(indices=np.array([0.0, 5.0]))
         assert query.indices == (0, 5)
+        assert all(type(i) is int for i in query.indices)
+        # exact ints skip the numbers-ABC checks; a float beside them does not
+        query = PairwiseQuery(indices=(5, -2, 5.0))
+        assert query.indices == (5, -2, 5)
         assert all(type(i) is int for i in query.indices)
 
     def test_query_subclasses_rejected_like_local_execute(self):

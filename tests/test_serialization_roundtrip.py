@@ -9,6 +9,7 @@ magic, bad version, truncation at each layer, digest mismatch).
 """
 
 import dataclasses
+import enum
 
 import numpy as np
 import pytest
@@ -361,6 +362,13 @@ class TestLabelCodec:
             json.dumps(encoded, allow_nan=False)  # must not raise
             decoded = decode_label(encoded)
             assert decoded == label or (decoded != decoded and label != label)
+
+    def test_int_subclass_labels_still_normalise_to_int(self):
+        # exact ints pass through untouched; a subclass takes the
+        # Integral path and comes back a plain int, as it always did
+        level = enum.IntEnum("Level", "LOW HIGH").HIGH
+        encoded = encode_label(level)
+        assert encoded == 2 and type(encoded) is int
 
     def test_numpy_scalar_labels_decode_as_python_scalars(self):
         # regression: np.arange labels are np.int64, which is not an
