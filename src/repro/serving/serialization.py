@@ -246,6 +246,8 @@ class BatchInfo:
     scale: float | None
     #: Recorded digest of the values segment.
     values_sha256: str
+    #: Recorded digest of the header metadata (verified when parsed).
+    meta_sha256: str
 
     @property
     def output_dim(self) -> int:
@@ -322,6 +324,7 @@ def _parse_header(meta: dict, header_len: int) -> BatchInfo:
             storage=spec.name,
             scale=None if scale is None else float(scale),
             values_sha256=values_digest,
+            meta_sha256=meta_digest,
         )
     except KeyError as exc:
         raise SerializationError(f"header is missing required field {exc}") from exc
@@ -443,6 +446,36 @@ def read_batch(path: str | os.PathLike) -> SketchBatch:
     """Read (eagerly, with full digest verification) a stored batch."""
     with open(path, "rb") as handle:
         return batch_from_bytes(handle.read())
+
+
+def link_blob(info: BatchInfo, path: str | os.PathLike) -> bool:
+    """Hard-link the stored blob ``info`` was read from to ``path``.
+
+    A published blob is never modified in place, so a file that still
+    records the two digests ``info`` read from it holds the same
+    container, and another generation can share it instead of writing
+    a copy.  The link is made first and its header read afterwards, so
+    the check covers the very file ``path`` now names.  Returns
+    ``False``, with nothing left at ``path``, when the source was
+    pruned or replaced by a blob with other digests, or when the
+    filesystem refuses the link (another device, no hard links): the
+    caller then writes the container itself.  The values are not
+    re-read: a linked blob is exactly as verified as its source.
+    """
+    try:
+        os.link(info.path, path)
+    except OSError:
+        return False
+    try:
+        linked = read_batch_info(path)
+        same = (linked.meta_sha256, linked.values_sha256) == (
+            info.meta_sha256, info.values_sha256,
+        )
+    except (OSError, ValueError):  # SerializationError included
+        same = False
+    if not same:
+        os.remove(path)
+    return same
 
 
 # -- streaming -----------------------------------------------------------------

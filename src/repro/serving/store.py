@@ -103,6 +103,7 @@ from repro.serving.serialization import (
     SerializationError,
     StreamingBatchWriter,
     iter_batch_rows,
+    link_blob,
     map_values,
     publish,
     read_batch_info,
@@ -128,6 +129,10 @@ class _Shard:
     are always cached in float64, computed from the *decoded* rows (the
     exact values queries scan), so the prefilter bounds exactly what
     the distance kernel sees.
+
+    ``source`` is the :class:`BatchInfo` of the published blob an
+    eager load filled the shard from (see :meth:`adopt`), until an
+    append changes the rows; ``None`` otherwise.
     """
 
     __slots__ = (
@@ -135,6 +140,7 @@ class _Shard:
         "size",
         "storage",
         "scale",
+        "source",
         "_buffer",
         "_decoded",
         "_sq_norms",
@@ -153,6 +159,7 @@ class _Shard:
         self.size = 0
         self.storage = storage
         self.scale: float | None = None
+        self.source: BatchInfo | None = None
         allocate = min(capacity, max(initial_rows, 1))
         self._buffer = np.empty((allocate, output_dim), dtype=storage.dtype)
         self._decoded: np.ndarray | None = None  # f2/int8 scan cache
@@ -188,6 +195,7 @@ class _Shard:
         the norm bounds — a concurrent reader that sees the new size
         therefore sees fully written rows and bounds covering them.
         """
+        self.source = None  # the rows no longer match the blob
         end = self.size + rows.shape[0]
         if end > self._buffer.shape[0]:  # grow geometrically within capacity
             new_rows = min(self.capacity, max(end, 2 * self._buffer.shape[0]))
@@ -216,16 +224,17 @@ class _Shard:
         self._max_sq = max(self._max_sq, float(chunk_norms.max()))
         self.size = end
 
-    def adopt(self, raw: np.ndarray, scale: float | None) -> None:
-        """Fill an empty shard with raw storage codes from a stored blob.
+    def adopt(self, raw: np.ndarray, info: BatchInfo) -> None:
+        """Fill an empty shard with raw storage codes from the stored blob ``info``.
 
         The eager-load path: codes land in the buffer verbatim (no
         decode/re-encode round trip, so quantised reloads are
         bit-identical) and the norm caches are rebuilt from the decoded
-        rows exactly as :meth:`append` would have.
+        rows exactly as :meth:`append` would have.  The shard remembers
+        the blob as its :attr:`source`.
         """
         end = raw.shape[0]
-        self.scale = scale
+        scale = self.scale = info.scale
         self._buffer[:end] = raw
         scan = self.storage.decode(self._buffer[:end], scale)
         if self.storage.name not in ("f8", "f4"):
@@ -239,6 +248,7 @@ class _Shard:
             self._min_sq = float(norms.min())
             self._max_sq = float(norms.max())
         self.size = end
+        self.source = info
 
     @property
     def values(self) -> np.ndarray:
@@ -335,6 +345,11 @@ class _MappedShard:
     def materialized(self) -> bool:
         """Whether the values have been mapped yet (for tests/metrics)."""
         return self._values is not None
+
+    @property
+    def source(self) -> BatchInfo:
+        """The published blob the rows live in (mapped shards never change)."""
+        return self._info
 
     @property
     def values(self) -> np.ndarray:
@@ -435,6 +450,11 @@ class ShardView:
     def scale(self) -> float | None:
         """The shard's int8 quantisation step (``None`` for float specs)."""
         return self._shard.scale
+
+    @property
+    def source(self) -> BatchInfo | None:
+        """The published blob holding exactly the shard's rows, if any."""
+        return self._shard.source
 
     @property
     def sq_norms(self) -> np.ndarray:
@@ -1017,14 +1037,25 @@ class ShardedSketchStore:
     def save(self, path: str | os.PathLike) -> None:
         """Persist the store into directory ``path`` as its next generation.
 
-        One v3 blob per shard streams into a staging directory that
-        becomes ``gen-NNNNN``, then the manifest is replaced atomically
+        One v3 blob per shard goes into a staging directory that becomes
+        ``gen-NNNNN``, then the manifest is replaced atomically
         (:func:`~repro.serving.serialization.publish`): a crash leaves an
         existing store untouched, and every save raises the directory's
         generation, so a watching server picks it up.  Labels keep their
         types (default positional labels are elided and regenerated on
         load); quantised shards keep their exact codes and scales, so
         round trips are bit-identical at every precision.
+
+        Only shards that changed are written.  A shard still holding the
+        published blob it was loaded from (eagerly or mapped, with no
+        append since) is hard-linked into the new generation once the
+        file is confirmed to carry the digests it was read with
+        (:func:`~repro.serving.serialization.link_blob`); tombstones
+        live in the manifest, so a save after :meth:`delete` writes the
+        manifest alone, and a save after appends writes the tail shard
+        and the new ones.  A shard whose blob was pruned or replaced, or
+        that cannot be linked (another filesystem, no hard links),
+        streams in full as before.
 
         The replaced generation stays on disk: handles that mmap-loaded
         it (this store included) keep answering from its files until
@@ -1039,9 +1070,12 @@ class ShardedSketchStore:
         publish(path, self.generation, self._write_generation)
 
     def _write_generation(self, directory: Path, generation: int) -> dict:
-        """Stream every shard into ``directory``; the manifest facts."""
+        """Link or stream every shard into ``directory``; the manifest facts."""
         views = self.snapshot()
         for i, view in enumerate(views):
+            path = directory / SHARD_PATTERN.format(i)
+            if view.source is not None and link_blob(view.source, path):
+                continue  # the blob it was loaded from, unchanged
             labels = self._labels[view.start : view.start + view.size]
             if _is_positional(labels, view.start):
                 # default positional labels regenerate on load from the
@@ -1049,7 +1083,7 @@ class ShardedSketchStore:
                 # headers small (and load-time parsing cheap)
                 labels = ()
             with StreamingBatchWriter(
-                directory / SHARD_PATTERN.format(i),
+                path,
                 self._template,
                 storage=view.storage,
                 scale=view.scale,
@@ -1180,7 +1214,7 @@ class ShardedSketchStore:
                     self.storage,
                     initial_rows=info.n_rows,
                 )
-                shard.adopt(raw, info.scale)
+                shard.adopt(raw, info)
             self._shards.append(shard)
         self._version += 1
 

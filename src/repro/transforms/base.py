@@ -9,16 +9,28 @@ embedding of a single coordinate.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.utils.validation import as_batch, as_float_matrix, check_index
+from repro.utils.validation import as_batch, check_finite, check_index, coerce_float_matrix
 
-try:  # scipy is optional: CooProjector falls back to a bincount scatter
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _scipy_sparse = None
+
+@functools.cache
+def _load_scipy_sparse():
+    """``scipy.sparse``, imported by the first :class:`CooProjector`.
+
+    ``None`` without scipy: CooProjector falls back to a bincount
+    scatter.  Deferred so that processes which never project (servers,
+    routers, clients) do not load it.
+    """
+    try:
+        from scipy import sparse
+    except ImportError:  # pragma: no cover - exercised only without scipy
+        return None
+    return sparse
+
 
 #: Max contribution-buffer entries per chunk in the bincount fallback.
 _SCATTER_BUFFER = 1 << 22
@@ -70,8 +82,37 @@ class LinearTransform(ABC):
         (a BLAS call, or :class:`CooProjector`'s tiled sparse product)
         instead of a Python loop per row.  ``n = 0`` is legal and
         yields a ``(0, k)`` result.
+
+        ``X`` is coerced and shape-checked first.  A non-finite entry
+        raises ``ValueError("X contains non-finite entries")``, checked
+        on the ``(n, k)`` projection where that is exact: when
+        :meth:`_input_projector` multiplies ``X`` by a matrix holding a
+        stored entry in every input column (SJLT, DKS), a NaN or
+        infinite coordinate reaches at least one output coordinate as
+        NaN or infinity, so a finite projection proves a finite input
+        at ``k/d`` of the reads.  ``X`` itself is read only when a
+        projected entry is not finite: it raises when ``X`` holds one,
+        and otherwise (a finite row whose projection overflowed) the
+        projection is returned as is.  Every other transform checks
+        ``X`` before projecting it.
         """
-        return self._apply_batch(as_float_matrix(X, self.input_dim, "X"))
+        X = coerce_float_matrix(X, self.input_dim, "X")
+        projector = self._input_projector()
+        if projector is None or not projector.covers_every_column:
+            return self._apply_batch(check_finite(X, "X"))
+        out = projector(X)
+        if not np.isfinite(out).all():
+            check_finite(X, "X")
+        return out
+
+    def _input_projector(self) -> "CooProjector | None":
+        """The :class:`CooProjector` that ``_apply_batch`` applies to ``X`` itself.
+
+        ``_apply_batch(X)`` must equal ``_input_projector()(X)`` byte for
+        byte.  ``None`` (the default) for transforms with another stage
+        in front of their sparse product, or none at all.
+        """
+        return None
 
     @abstractmethod
     def _apply_batch(self, X: np.ndarray) -> np.ndarray:
@@ -171,6 +212,12 @@ class CooProjector:
     so a row's projection does not depend on the batch it arrives in.
     Without scipy a chunked ``bincount`` scatter takes over, so there
     is no hard scipy dependency.
+
+    :attr:`covers_every_column` says whether the matrix holds a stored
+    entry (a summed duplicate or an explicit zero included) in every
+    input column, read from the matrix the product runs on.  Both
+    paths multiply every stored entry into its output coordinate, so
+    then a NaN or infinite input coordinate always reaches the output.
     """
 
     def __init__(self, rows, cols, values, output_dim: int, input_dim: int) -> None:
@@ -184,17 +231,21 @@ class CooProjector:
             raise ValueError("rows, cols and values must be parallel arrays")
         self._matrix = None
         self._coo = None
-        if _scipy_sparse is not None:
+        sparse = _load_scipy_sparse()
+        if sparse is not None:
             # the canonical (m, k) CSR sums duplicates; its transpose is
             # a (k, m) CSC view of the same arrays, taken once here since
             # ``X @ csr`` would rebuild it per call.  A CSC product walks
             # input coordinates in ascending order, so every output entry
             # accumulates in that order whatever the tiling
-            self._matrix = _scipy_sparse.csr_matrix(
+            self._matrix = sparse.csr_matrix(
                 (values, (cols, rows)), shape=(self.input_dim, self.output_dim)
             ).T
+            stored = np.diff(self._matrix.indptr)  # entries per input column
         else:
             self._coo = (rows, cols, values)
+            stored = np.bincount(cols, minlength=self.input_dim)
+        self.covers_every_column = bool(stored.all())
 
     def __call__(self, X: np.ndarray) -> np.ndarray:
         """Map ``(n, m)`` rows through the matrix -> ``(n, k)`` rows."""

@@ -44,6 +44,9 @@ class DKSTransform(LinearTransform):
         return self.sparsity
 
     def _apply_batch(self, X: np.ndarray) -> np.ndarray:
+        return self._input_projector()(X)
+
+    def _input_projector(self) -> CooProjector:
         if self._projector is None:
             cols = np.broadcast_to(np.arange(self.input_dim), self._rows.shape)
             # within-column row collisions sum their signed entries,
@@ -51,7 +54,7 @@ class DKSTransform(LinearTransform):
             self._projector = CooProjector(
                 self._rows, cols, self._scale * self._signs, self.output_dim, self.input_dim
             )
-        return self._projector(X)
+        return self._projector
 
     def apply_sparse(self, indices, values) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)

@@ -151,14 +151,16 @@ class SJLT(LinearTransform):
         return self.sparsity
 
     def _apply_batch(self, X: np.ndarray) -> np.ndarray:
-        return self._batch_projector()(X)
+        return self._input_projector()(X)
 
-    def _batch_projector(self) -> CooProjector:
+    def _input_projector(self) -> CooProjector:
         """The whole transform as one sparse projector (single hash pass).
 
         Cached when the hash tables are precomputed; rebuilt per call in
         lazy mode, whose memory contract is transient ``O(s d)`` — the
-        same as the tables the old per-row path materialised.
+        same as the tables the old per-row path materialised.  Every
+        column holds ``s`` entries, so ``apply_batch`` checks the
+        projection for non-finite values instead of the input.
         """
         if self._projector is not None:
             return self._projector

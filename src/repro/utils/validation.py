@@ -31,11 +31,23 @@ def as_float_vector(x, name: str = "x") -> np.ndarray:
 def as_float_matrix(x, dim: int, name: str = "X") -> np.ndarray:
     """Coerce ``x`` into a C-contiguous ``(n, dim)`` float64 matrix.
 
+    :func:`coerce_float_matrix` followed by :func:`check_finite`: raises
+    ``ValueError`` for non-2-d input, a row dimension other than
+    ``dim``, or non-finite entries.
+    """
+    return check_finite(coerce_float_matrix(x, dim, name), name)
+
+
+def coerce_float_matrix(x, dim: int, name: str = "X") -> np.ndarray:
+    """Coerce ``x`` into a C-contiguous ``(n, dim)`` float64 matrix, unchecked.
+
     Accepts any 2-d sequence or array of numbers — any float dtype, any
     memory layout (Fortran-ordered and strided views are copied).  A
     zero-row matrix is legal (batch APIs treat it as "nothing to do").
-    Raises ``ValueError`` for non-2-d input, a row dimension other than
-    ``dim``, or non-finite entries.
+    Raises ``ValueError`` for non-2-d input or a row dimension other
+    than ``dim``; the entries are not looked at, so a caller can check
+    finiteness later, or on a smaller array that carries it (see
+    :meth:`repro.transforms.base.LinearTransform.apply_batch`).
     """
     arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if arr.ndim != 2:
@@ -44,6 +56,11 @@ def as_float_matrix(x, dim: int, name: str = "X") -> np.ndarray:
         )
     if arr.shape[1] != dim:
         raise ValueError(f"{name} has row dimension {arr.shape[1]}, expected {dim}")
+    return arr
+
+
+def check_finite(arr: np.ndarray, name: str = "X") -> np.ndarray:
+    """Return ``arr`` unchanged; ``ValueError`` if any entry is NaN or infinite."""
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

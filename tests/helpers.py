@@ -29,6 +29,12 @@ def shard_file(root, i=0):
     return shard_dir(root, read_manifest(root)) / SHARD_PATTERN.format(i)
 
 
+def store_contents(store) -> tuple:
+    """A store's rows as scanned (bytes), labels and tombstones."""
+    values = [view.values.tobytes() for view in store.snapshot()]
+    return b"".join(values), store.labels, store.tombstones
+
+
 # -- typed-query-plane wrappers (shared by the serving test modules) ----------
 
 

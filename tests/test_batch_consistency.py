@@ -155,7 +155,7 @@ class TestCooProjectorFallbackParity:
         tiles = _tile_rows(tiled)
         X = np.random.default_rng(case_index).standard_normal((3 * tiles + 2, 1024))
         tiled.apply_batch(X[:1])  # builds the projector while scipy is present
-        monkeypatch.setattr(base, "_scipy_sparse", None)
+        monkeypatch.setattr(base, "_load_scipy_sparse", lambda: None)
         fallback = create_transform(name, 1024, 16, seed=7, **kwargs)
         fallback.apply_batch(X[:1])
         assert tiled._projector._matrix is not None
@@ -177,7 +177,7 @@ class TestCooProjectorFallbackParity:
         values = rng.choice([-1.0, 1.0], size=(s, m)) * rng.uniform(0.5, 2.0, size=(s, m))
         assert np.unique(rows * m + cols).size < rows.size
         tiled = base.CooProjector(rows, cols, values, k, m)
-        monkeypatch.setattr(base, "_scipy_sparse", None)
+        monkeypatch.setattr(base, "_load_scipy_sparse", lambda: None)
         fallback = base.CooProjector(rows, cols, values, k, m)
         dense = np.zeros((k, m))
         np.add.at(dense, (rows.ravel(), cols.ravel()), values.ravel())

@@ -9,10 +9,12 @@ forgot to mark the layout stale would keep serving the old shape, so
 the property drives random sequences of every mutation at every
 storage spec and, after each step, compares every layout fact with a
 fresh walk of the shards, then checks served pairwise against the
-cross kernel.
+cross kernel.  A save links the shards that still hold the blob they
+were loaded from and writes the rest, and reloads the same store.
 """
 
 import dataclasses
+import os
 import tempfile
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from repro.serving import (
     PairwiseQuery,
     ShardedSketchStore,
 )
+from tests.helpers import shard_file, store_contents
 
 _SKETCHER = PrivateSketcher(
     SketchConfig(input_dim=16, epsilon=8.0, output_dim=8, sparsity=2, seed=3)
@@ -117,8 +120,17 @@ def _mutate(store, mutation, rng, root):
     elif mutation == "compact_routed" and store.live_row_count:
         store.compact(routing=True, routing_seed=int(rng.integers(100)))
     elif mutation.startswith("save_load") and len(store):
+        sources = [view.source for view in store.snapshot()]
+        saved = store_contents(store)
         store.save(root)
+        for i, source in enumerate(sources):
+            stat = shard_file(root, i).stat()
+            if source is None:  # written by this save
+                assert stat.st_nlink == 1
+            else:  # the blob it was loaded from, linked
+                assert stat.st_ino == os.stat(source.path).st_ino
         store = ShardedSketchStore.load(root, mmap=mutation == "save_load_mmap")
+        assert store_contents(store) == saved
     elif mutation == "assign_generation":
         store.generation = int(rng.integers(0, 50))
     return store
@@ -149,7 +161,7 @@ def _check_pairwise(store, rng) -> None:
 
 
 class TestLayoutProperty:
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_layout_equals_a_fresh_walk(self, data):
         storage = data.draw(st.sampled_from(["f8", "f4", "f2", "int8"]), label="storage")

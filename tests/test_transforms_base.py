@@ -1,5 +1,11 @@
 """Tests for the LinearTransform interface shared by all projections."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -127,3 +133,40 @@ class TestConstructorValidation:
         t = make_transform(("gaussian", {}))
         with pytest.raises(ValueError):
             exact_sensitivity(t, 0.5)
+
+
+class TestScipyImport:
+    """scipy.sparse loads with the first CooProjector, not with the package."""
+
+    def _run(self, source: str) -> str:
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(source)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        return done.stdout.strip()
+
+    def test_serving_imports_leave_scipy_sparse_unloaded(self):
+        assert self._run(
+            """
+            import sys
+            import repro.serving, repro.serving.server
+            print("scipy.sparse" in sys.modules)
+            """
+        ) == "False"
+
+    def test_the_first_projector_loads_it(self):
+        # where scipy is installed; without it the bincount fallback runs
+        assert self._run(
+            """
+            import importlib.util, sys
+            import numpy as np
+            from repro.transforms import SJLT
+            t = SJLT(16, 8, 2, seed=0)
+            before = "scipy.sparse" in sys.modules
+            t.apply_batch(np.ones((2, 16)))
+            installed = importlib.util.find_spec("scipy") is not None
+            print(before, ("scipy.sparse" in sys.modules) == installed)
+            """
+        ) == "False True"
